@@ -25,6 +25,7 @@ use crate::bitstream::{Bitstream, BitstreamKind};
 use crate::device::Device;
 use crate::error::FpgaError;
 use crate::frames::FrameAddress;
+use hprc_obs::artifact::crc32;
 
 /// Synchronization word opening every bitstream.
 pub const SYNC_WORD: u32 = 0xAA99_5566;
@@ -39,19 +40,6 @@ fn idcode(device_name: &str) -> u32 {
         h = h.wrapping_mul(0x0100_0193);
     }
     h
-}
-
-/// CRC-32 (IEEE, bitwise) over a byte slice.
-fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 fn push_word(out: &mut Vec<u8>, w: u32) {
