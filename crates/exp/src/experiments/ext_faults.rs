@@ -20,7 +20,7 @@ use hprc_sched::traces::TraceSpec;
 use hprc_sim::node::NodeConfig;
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::runner::par_indexed;
 use crate::scenario::{run_point_faulty, FaultyPointRun};
 use crate::table::{Align, TextTable};
@@ -200,12 +200,25 @@ pub fn run(ctx: &ExecCtx) -> Report {
         t.render()
     );
 
+    // CSV: effective speedup, availability, and degraded H vs rate.
+    let curve = |label: &str, y: fn(&Row) -> f64| {
+        (
+            label.to_string(),
+            rows.iter().map(|r| (r.rate, y(r))).collect(),
+        )
+    };
+    let series: Series = vec![
+        curve("effective_speedup", |r| r.effective_speedup),
+        curve("availability", |r| r.availability),
+        curve("hit_ratio", |r| r.hit_ratio),
+    ];
     Report::new(
         "ext-faults",
         "E-faults — Fault injection and recovery across the reconfiguration path",
         body,
         &rows,
     )
+    .with_series(&series)
 }
 
 /// The Chrome trace artifact: the mid-sweep rate's faulty PRTR timeline
@@ -229,44 +242,6 @@ pub fn attribution(ctx: &ExecCtx) -> hprc_attr::AttributionReport {
     let (trace_seed, plan_seed) = seeds(ctx);
     let r = run_rate(TRACE_RATE, trace_seed, plan_seed, 300, ctx);
     hprc_attr::AttributionReport::new("ext-faults", &r.params, &r.frtr, &r.prtr)
-}
-
-/// CSV series: effective speedup, availability, and degraded `H` vs
-/// fault rate.
-pub fn series(ctx: &ExecCtx) -> Vec<(String, Vec<(f64, f64)>)> {
-    let len = 1200;
-    let (trace_seed, plan_seed) = seeds(ctx);
-    let runs: Vec<FaultyPointRun> = RATES
-        .iter()
-        .map(|&rate| run_rate(rate, trace_seed, plan_seed, len, ctx))
-        .collect();
-    let baseline_frtr_s = runs[0].frtr.total_s();
-    vec![
-        (
-            "effective_speedup".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, r)| (rate, baseline_frtr_s / r.prtr.total_s()))
-                .collect(),
-        ),
-        (
-            "availability".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, r)| (rate, r.availability()))
-                .collect(),
-        ),
-        (
-            "hit_ratio".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, r)| (rate, r.point.hit_ratio))
-                .collect(),
-        ),
-    ]
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use hprc_obs::FleetTopology;
 use serde::Serialize;
 
 use crate::fleet::{run_fleet, FleetError, FleetRun, FleetSpec};
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::table::{Align, TextTable};
 
 /// Fleet shape: 32 racks of 32 nodes.
@@ -187,12 +187,26 @@ pub fn run(ctx: &ExecCtx) -> Result<Report, FleetError> {
         runs_cut = account.runs_cut,
     );
 
+    // CSV: availability, throughput ratio, and minimum per-rack H vs
+    // chaos rate.
+    let curve = |label: &str, y: fn(&Row) -> f64| {
+        (
+            label.to_string(),
+            rows.iter().map(|r| (r.rate, y(r))).collect(),
+        )
+    };
+    let series: Series = vec![
+        curve("availability", |r| r.availability),
+        curve("throughput_ratio", |r| r.throughput_ratio),
+        curve("min_rack_h", |r| r.min_rack_h),
+    ];
     Ok(Report::new(
         "ext-fleet",
         "E-fleet — Fleet-scale orchestration: kills, rack aggregation, run budgets",
         body,
         &rows,
-    ))
+    )
+    .with_series(&series))
 }
 
 /// The Chrome trace artifact: the mid-sweep fleet's cluster journal
@@ -226,55 +240,6 @@ pub fn chrome_trace(
             .add(truncated);
     }
     Ok(out)
-}
-
-/// Labelled `(x, y)` series, as rendered into the CSV artifact.
-pub type Series = Vec<(String, Vec<(f64, f64)>)>;
-
-/// CSV series: availability, throughput ratio, and minimum per-rack H
-/// vs chaos rate.
-pub fn series(ctx: &ExecCtx) -> Result<Series, FleetError> {
-    let topo = FleetTopology::new(NODES, RACK_SIZE);
-    let runs: Vec<FleetRun> = RATES
-        .iter()
-        .enumerate()
-        .map(|(i, &rate)| run_fleet(&spec(rate), i as u64, None, ctx))
-        .collect::<Result<_, _>>()?;
-    let base_throughput = throughput(&runs[0]);
-    Ok(vec![
-        (
-            "availability".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, run)| (rate, run.availability()))
-                .collect(),
-        ),
-        (
-            "throughput_ratio".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, run)| (rate, throughput(run) / base_throughput))
-                .collect(),
-        ),
-        (
-            "min_rack_h".into(),
-            RATES
-                .iter()
-                .zip(&runs)
-                .map(|(&rate, run)| {
-                    (
-                        rate,
-                        run.rack_hit_ratios(&topo)
-                            .iter()
-                            .copied()
-                            .fold(1.0, f64::min),
-                    )
-                })
-                .collect(),
-        ),
-    ])
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use hprc_model::params::NormalizedTimes;
 use hprc_model::sweep::Axis;
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::table::{Align, TextTable};
 
 /// One contour: target speedup and per-H largest admissible `X_task`.
@@ -96,6 +96,20 @@ pub fn run(ctx: &ExecCtx) -> Report {
         t.render(),
     );
 
+    // Long-format CSV: one curve per hit ratio.
+    let series: Series = l
+        .hit_ratio
+        .iter()
+        .enumerate()
+        .map(|(r, &h)| {
+            (
+                format!("H={h}"),
+                (0..l.x_task.len())
+                    .map(|c| (l.x_task[c], l.at(r, c)))
+                    .collect(),
+            )
+        })
+        .collect();
     Report::new(
         "ext-landscape",
         "E10 — The (X_task, H) speedup landscape",
@@ -108,37 +122,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
             contours,
         },
     )
-}
-
-/// Long-format series for CSV.
-pub fn series() -> Vec<(String, Vec<(f64, f64)>)> {
-    let x_prtr = 19.77 / 1678.04;
-    let l = compute(
-        NormalizedTimes::ideal(1.0, x_prtr),
-        Axis::Log {
-            lo: 1e-4,
-            hi: 10.0,
-            points: 72,
-        },
-        Axis::Linear {
-            lo: 0.0,
-            hi: 1.0,
-            points: 9,
-        },
-    )
-    .expect("valid axes");
-    l.hit_ratio
-        .iter()
-        .enumerate()
-        .map(|(r, &h)| {
-            (
-                format!("H={h}"),
-                (0..l.x_task.len())
-                    .map(|c| (l.x_task[c], l.at(r, c)))
-                    .collect(),
-            )
-        })
-        .collect()
+    .with_series(&series)
 }
 
 #[cfg(test)]

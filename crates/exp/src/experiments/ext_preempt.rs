@@ -25,7 +25,7 @@ use hprc_sched::preempt::{Edf, RtTask, StrictPriority};
 use hprc_sim::node::NodeConfig;
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::runner::par_indexed;
 use crate::scenario::{model_params_for, run_point_preemptive, PreemptPointRun};
 use crate::table::{Align, TextTable};
@@ -323,12 +323,32 @@ pub fn run(ctx: &ExecCtx) -> Report {
         t.render()
     );
 
+    // CSV (measured node): deadline-miss ratio and effective speedup
+    // vs tightness, one curve per policy.
+    let mut series: Series = Vec::with_capacity(2 * POLICIES.len());
+    for policy in POLICIES {
+        let curve = |y: fn(&Row) -> f64| {
+            rows.iter()
+                .filter(|r| r.node == "measured" && r.policy == policy)
+                .map(|r| (r.tightness, y(r)))
+                .collect()
+        };
+        series.push((
+            format!("miss_ratio_{policy}"),
+            curve(|r| r.deadline_miss_ratio),
+        ));
+        series.push((
+            format!("effective_speedup_{policy}"),
+            curve(|r| r.effective_speedup),
+        ));
+    }
     Report::new(
         "ext-preempt",
         "E-preempt — Preemptive execution via PR: deadlines, priority + EDF",
         body,
         &rows,
     )
+    .with_series(&series)
 }
 
 /// The Chrome trace artifact: the measured node's tightest-deadline
@@ -362,42 +382,6 @@ pub fn attribution(ctx: &ExecCtx) -> hprc_attr::AttributionReport {
     let t_task = exec_total_ns as f64 / 1e9 / (s.hits + s.misses).max(1) as f64;
     let params = model_params_for(&node, t_task, s.hit_ratio(), s.jobs.max(1));
     hprc_attr::AttributionReport::new("ext-preempt", &params, &np.report, &pr.report)
-}
-
-/// CSV series (measured node): deadline-miss ratio and effective
-/// speedup vs tightness, one curve per policy.
-pub fn series(ctx: &ExecCtx) -> Vec<(String, Vec<(f64, f64)>)> {
-    let mut out = Vec::with_capacity(2 * POLICIES.len());
-    for policy in POLICIES {
-        let runs: Vec<PreemptPointRun> = TIGHTNESS
-            .iter()
-            .map(|&tightness| run_grid_point("measured", tightness, policy, ctx))
-            .collect();
-        let node = node_for("measured");
-        out.push((
-            format!("miss_ratio_{policy}"),
-            TIGHTNESS
-                .iter()
-                .zip(&runs)
-                .map(|(&x, r)| (x, r.outcome.stats.deadline_miss_ratio()))
-                .collect(),
-        ));
-        out.push((
-            format!("effective_speedup_{policy}"),
-            TIGHTNESS
-                .iter()
-                .zip(&runs)
-                .map(|(&x, r)| {
-                    let tasks = vision_pipeline(&node, x);
-                    (
-                        x,
-                        serial_frtr_s(&node, &tasks) / r.outcome.stats.makespan_s(),
-                    )
-                })
-                .collect(),
-        ));
-    }
-    out
 }
 
 #[cfg(test)]

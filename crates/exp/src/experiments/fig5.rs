@@ -8,7 +8,7 @@ use hprc_model::params::NormalizedTimes;
 use hprc_model::sweep::{figure5_family, Axis};
 use serde::Serialize;
 
-use crate::report::Report;
+use crate::report::{Report, Series};
 use crate::table::{Align, TextTable};
 
 #[derive(Serialize)]
@@ -24,7 +24,6 @@ struct CurveSummary {
 #[derive(Serialize)]
 struct Payload {
     curves: Vec<CurveSummary>,
-    series: Vec<(String, Vec<(f64, f64)>)>,
 }
 
 /// The `(H, X_PRTR)` grid of the figure.
@@ -50,7 +49,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
     .expect("valid sweep");
 
     let mut summaries = Vec::new();
-    let mut series = Vec::new();
+    let mut series: Series = Vec::new();
     for c in &curves {
         let (px, ps) = c.peak().expect("non-empty curve");
         // Parse H and X_PRTR back out of the label for the closed form.
@@ -137,36 +136,14 @@ pub fn run(ctx: &ExecCtx) -> Report {
         h0_0012.peak_speedup,
     );
 
-    let mut report = Report::new(
+    // The JSON body keeps only summaries; the full curves go to CSV.
+    Report::new(
         "fig5",
         "Figure 5 — Asymptotic performance of PRTR (model)",
         body,
-        &Payload {
-            curves: summaries,
-            series: series.clone(),
-        },
-    );
-    // Keep only summaries in the JSON body; curves go to CSV separately.
-    report.json = serde_json::json!({
-        "curves": report.json["curves"],
-    });
-    report
-}
-
-/// The full curve series, for CSV output.
-pub fn series() -> Vec<(String, Vec<(f64, f64)>)> {
-    let curves = figure5_family(
-        NormalizedTimes::ideal(1.0, 0.1),
-        &HIT_RATIOS,
-        &X_PRTRS,
-        Axis::Log {
-            lo: 1e-3,
-            hi: 100.0,
-            points: 600,
-        },
+        &Payload { curves: summaries },
     )
-    .expect("valid sweep");
-    curves.into_iter().map(|c| (c.label, c.points)).collect()
+    .with_series(&series)
 }
 
 #[cfg(test)]

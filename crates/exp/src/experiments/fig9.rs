@@ -184,6 +184,16 @@ pub fn run(panel: Panel, ctx: &ExecCtx) -> Report {
         attribution.render_table(),
     );
 
+    let series = vec![
+        (
+            "simulator".into(),
+            points.iter().map(|p| (p.x_task, p.speedup_sim)).collect(),
+        ),
+        (
+            "model".into(),
+            points.iter().map(|p| (p.x_task, p.speedup_model)).collect(),
+        ),
+    ];
     Report::new(
         id,
         title,
@@ -200,21 +210,7 @@ pub fn run(panel: Panel, ctx: &ExecCtx) -> Report {
             points,
         },
     )
-}
-
-/// Curve series (sim + model) for CSV output.
-pub fn series(panel: Panel, ctx: &ExecCtx) -> Vec<(String, Vec<(f64, f64)>)> {
-    let (_, points) = sweep(panel, 41, ctx);
-    vec![
-        (
-            "simulator".into(),
-            points.iter().map(|p| (p.x_task, p.speedup_sim)).collect(),
-        ),
-        (
-            "model".into(),
-            points.iter().map(|p| (p.x_task, p.speedup_model)).collect(),
-        ),
-    ]
+    .with_series(&series)
 }
 
 #[cfg(test)]

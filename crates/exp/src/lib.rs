@@ -395,20 +395,11 @@ pub fn attribution(id: &str, ctx: &ExecCtx) -> Option<hprc_attr::AttributionRepo
 }
 
 /// The CSV side-artifact (curve series) text for an experiment, if it
-/// has one — the exact bytes `write_series` seals to `<id>.csv`.
+/// has one — the exact bytes `write_series` seals to `<id>.csv`. This
+/// is [`Report::series`] of a quiet run: a committed run seals its own
+/// report's series instead of calling this.
 pub fn series_text(id: &str, ctx: &ExecCtx) -> Result<Option<String>, ExpError> {
-    let quiet = quiet(ctx);
-    let series = match id {
-        "fig5" => experiments::fig5::series(),
-        "fig9a" => experiments::fig9::series(experiments::fig9::Panel::Estimated, &quiet),
-        "fig9b" => experiments::fig9::series(experiments::fig9::Panel::Measured, &quiet),
-        "ext-landscape" => experiments::ext_landscape::series(),
-        "ext-faults" => experiments::ext_faults::series(&quiet),
-        "ext-preempt" => experiments::ext_preempt::series(&quiet),
-        "ext-fleet" => experiments::ext_fleet::series(&quiet)?,
-        _ => return Ok(None),
-    };
-    Ok(Some(report::series_csv_text(&series)))
+    Ok(run_experiment(id, &quiet(ctx))?.series)
 }
 
 /// Writes (seals) an experiment's CSV side-artifacts, if it has any.

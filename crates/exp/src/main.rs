@@ -34,7 +34,7 @@ use hprc_obs::Registry;
 
 fn usage() -> String {
     format!(
-        "usage: hprc-exp [--out DIR] [--trace DIR] [--jobs N] [--seed S]\n\
+        "usage: hprc-exp [--out DIR] [--trace DIR] [--jobs N] [--seed S] [--no-delta]\n\
          \x20               [--run-id ID] [--crash-at SEQ] [all | id...]\n\
          \x20      hprc-exp resume RUN_ID [--out DIR] [--trace DIR] [--jobs N]\n\
          \x20      hprc-exp list\n\
@@ -50,9 +50,8 @@ fn usage() -> String {
          --jobs N     worker threads (default: available cores); results are\n\
          \x20            byte-identical at any N, only wall-clock time changes\n\
          --seed S     base RNG seed XOR-ed into every workload stream (default: 0)\n\
-         --no-delta   disable the delta re-simulation cache (memoized schedule\n\
-         \x20            skeletons + whole-run replay); artifacts are byte-identical\n\
-         \x20            either way, only wall-clock time changes\n\
+         --no-delta   accepted for compatibility; does nothing (the CLI runs\n\
+         \x20            without the delta re-simulation cache)\n\
          --run-id ID  name of this run's write-ahead manifest, written to\n\
          \x20            DIR/ID.manifest.jsonl (default: run)\n\
          --crash-at SEQ  abort the process the instant manifest entry SEQ is\n\
@@ -227,7 +226,6 @@ fn main() -> ExitCode {
     let mut trace_dir: Option<PathBuf> = None;
     let mut jobs: usize = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut seed: u64 = 0;
-    let mut use_delta = true;
     let mut run_id = String::from("run");
     let mut crash_at: Option<u64> = None;
     let mut ids: Vec<String> = Vec::new();
@@ -249,21 +247,21 @@ fn main() -> ExitCode {
             "--out" => match args.next() {
                 Some(d) => out_dir = PathBuf::from(d),
                 None => {
-                    eprintln!("--out requires a directory");
+                    eprintln!("--out requires a directory\n\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
             "--trace" => match args.next() {
                 Some(d) => trace_dir = Some(PathBuf::from(d)),
                 None => {
-                    eprintln!("--trace requires a directory");
+                    eprintln!("--trace requires a directory\n\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
             "--jobs" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
                 Some(n) if n > 0 => jobs = n,
                 _ => {
-                    eprintln!("--jobs requires a positive integer");
+                    eprintln!("--jobs requires a positive integer\n\n{}", usage());
                     return ExitCode::FAILURE;
                 }
             },
@@ -274,11 +272,14 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--no-delta" => use_delta = false,
+            "--no-delta" => {}
             "--run-id" => match args.next() {
                 Some(r) if !r.is_empty() && !r.contains('/') => run_id = r,
                 _ => {
-                    eprintln!("--run-id requires a non-empty name without '/'");
+                    eprintln!(
+                        "--run-id requires a non-empty name without '/'\n\n{}",
+                        usage()
+                    );
                     return ExitCode::FAILURE;
                 }
             },
@@ -334,16 +335,10 @@ fn main() -> ExitCode {
     // The jobs budget goes to whichever level can use it: across
     // experiments when several ids run, into the experiment's own sweep
     // runner when only one does. Each experiment gets its own registry
-    // so metrics files don't bleed into each other.
+    // so metrics files don't bleed into each other. Contexts carry no
+    // delta cache: within one invocation its lookups and stored reports
+    // cost more than the few replays they buy (DESIGN §4j).
     let inner_jobs = if ids.len() == 1 { jobs } else { 1 };
-    // One process-wide delta cache (unless --no-delta): skeleton and
-    // report replays are byte-identical to longhand runs, so sharing it
-    // across experiments and worker threads never perturbs artifacts.
-    let delta = if use_delta {
-        hprc_obs::DeltaCache::new(hprc_obs::DEFAULT_DELTA_BYTES)
-    } else {
-        hprc_obs::DeltaCache::disabled()
-    };
     let contexts: Vec<ExecCtx> = ids
         .iter()
         .map(|id| {
@@ -360,7 +355,6 @@ fn main() -> ExitCode {
                 })
                 .with_seed(seed)
                 .with_jobs(inner_jobs)
-                .with_delta(delta.clone())
         })
         .collect();
 

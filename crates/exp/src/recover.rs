@@ -308,11 +308,11 @@ fn point_blobs(
         name: format!("{id}.json"),
         bytes: report.json_text().into_bytes(),
     }];
-    if let Some(csv) = crate::series_text(id, ctx)? {
+    if let Some(csv) = &report.series {
         blobs.push(Blob {
             dir: ArtifactDirKind::Out,
             name: format!("{id}.csv"),
-            bytes: csv.into_bytes(),
+            bytes: csv.clone().into_bytes(),
         });
     }
     if trace {
@@ -487,6 +487,9 @@ fn resume_usage() -> &'static str {
     "usage: hprc-exp resume RUN_ID [--out DIR] [--trace DIR] [--jobs N]\n\
      \x20                     [--no-delta] [--crash-at SEQ]\n\
      \n\
+     --no-delta is accepted for compatibility and does nothing: the CLI\n\
+     runs without a delta cache.\n\
+     \n\
      Reads DIR/RUN_ID.manifest.jsonl (DIR defaults to results), verifies every\n\
      sealed artifact by CRC32, salvages the sweep points whose artifacts are\n\
      all clean, and re-executes only the remainder. Final artifacts are\n\
@@ -499,7 +502,6 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
     let mut out_dir = PathBuf::from("results");
     let mut trace_dir: Option<PathBuf> = None;
     let mut jobs: usize = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut use_delta = true;
     let mut crash_at: Option<u64> = None;
     let mut run_id: Option<String> = None;
     let mut args = args;
@@ -526,7 +528,7 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--no-delta" => use_delta = false,
+            "--no-delta" => {}
             "--crash-at" => match args.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(s) => crash_at = Some(s),
                 None => {
@@ -647,11 +649,6 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
     // depend only on (id, seed), so salvaged and re-executed points
     // compose into the same byte-identical set.
     let inner_jobs = if parsed.ids.len() == 1 { jobs } else { 1 };
-    let delta = if use_delta {
-        hprc_obs::DeltaCache::new(hprc_obs::DEFAULT_DELTA_BYTES)
-    } else {
-        hprc_obs::DeltaCache::disabled()
-    };
     let contexts: Vec<ExecCtx> = redo
         .iter()
         .map(|id| {
@@ -668,7 +665,6 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
                 })
                 .with_seed(parsed.seed)
                 .with_jobs(inner_jobs)
-                .with_delta(delta.clone())
         })
         .collect();
 

@@ -1,5 +1,6 @@
 //! Experiment reports: a rendered text body plus a machine-readable JSON
-//! payload persisted under `results/`.
+//! payload persisted under `results/`, plus the CSV series of plotted
+//! experiments.
 
 use std::fs;
 use std::io;
@@ -18,7 +19,13 @@ pub struct Report {
     pub body: String,
     /// Machine-readable payload.
     pub json: serde_json::Value,
+    /// The `<id>.csv` curve-series text, for experiments that plot one
+    /// (see [`Report::with_series`]).
+    pub series: Option<String>,
 }
+
+/// Labelled `(x, y)` curves, as rendered into a CSV artifact.
+pub type Series = Vec<(String, Vec<(f64, f64)>)>;
 
 impl Report {
     /// Builds a report, serializing `payload` to JSON.
@@ -33,7 +40,22 @@ impl Report {
             title: title.into(),
             body,
             json: serde_json::to_value(payload).expect("payload serializes"),
+            series: None,
         }
+    }
+
+    /// Attaches the curves the experiment computed as its `<id>.csv`
+    /// text (long format: `label,x,y`, one row per point), so the CSV
+    /// comes from the run itself, never a re-run.
+    pub fn with_series(mut self, series: &Series) -> Report {
+        let mut csv = String::from("label,x,y\n");
+        for (label, points) in series {
+            for (x, y) in points {
+                csv.push_str(&format!("{label},{x},{y}\n"));
+            }
+        }
+        self.series = Some(csv);
+        self
     }
 
     /// Full text rendering (title banner + body).
@@ -57,31 +79,6 @@ impl Report {
     }
 }
 
-/// Renders `(x, y)` series as CSV text, one row per labelled point
-/// (long format: `label,x,y`).
-pub fn series_csv_text(series: &[(String, Vec<(f64, f64)>)]) -> String {
-    let mut out = String::from("label,x,y\n");
-    for (label, points) in series {
-        for (x, y) in points {
-            out.push_str(&format!("{label},{x},{y}\n"));
-        }
-    }
-    out
-}
-
-/// Atomically writes and seals `(x, y)` series as `<dir>/<id>.csv`
-/// (long format: `label,x,y`, plus a `.crc` sidecar).
-pub fn write_series_csv(
-    dir: &Path,
-    id: &str,
-    series: &[(String, Vec<(f64, f64)>)],
-) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{id}.csv"));
-    hprc_obs::artifact::seal(&path, series_csv_text(series).as_bytes())?;
-    Ok(path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,16 +100,11 @@ mod tests {
     fn writes_json_and_csv() {
         let dir = std::env::temp_dir().join(format!("hprc-exp-test-{}", std::process::id()));
         let r = Report::new("demo", "Demo", String::new(), &serde_json::json!([1, 2, 3]));
+        assert_eq!(r.series, None);
         let p = r.write_json(&dir).unwrap();
         assert!(p.exists());
-        let csv = write_series_csv(
-            &dir,
-            "curves",
-            &[("a".into(), vec![(1.0, 2.0), (3.0, 4.0)])],
-        )
-        .unwrap();
-        let content = fs::read_to_string(csv).unwrap();
-        assert!(content.contains("a,1,2"));
+        let r = r.with_series(&vec![("a".into(), vec![(1.0, 2.0), (3.0, 4.5)])]);
+        assert_eq!(r.series.as_deref(), Some("label,x,y\na,1,2\na,3,4.5\n"));
         fs::remove_dir_all(dir).unwrap();
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `hprc-exp` binary: help/usage exit codes,
-//! the `bench` subcommand's artifact, and `--jobs` invariance of the
-//! `.attr.json` attribution artifact.
+//! the `bench` subcommand's artifact, the `--no-delta` no-op, and
+//! `--jobs` invariance of the `.attr.json` attribution artifact.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -190,6 +190,89 @@ fn unparseable_seed_prints_usage_and_fails() {
             "{args:?} should print usage: {stderr}"
         );
     }
+}
+
+#[test]
+fn flag_errors_print_usage() {
+    for (args, message) in [
+        (&["--out"][..], "--out requires a directory"),
+        (&["--trace"][..], "--trace requires a directory"),
+        (
+            &["--jobs", "0", "table1"][..],
+            "--jobs requires a positive integer",
+        ),
+        (
+            &["--run-id", "a/b", "table1"][..],
+            "--run-id requires a non-empty name",
+        ),
+    ] {
+        let out = Command::new(exe()).args(args).output().expect("run binary");
+        assert!(!out.status.success(), "{args:?} must exit non-zero");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{args:?} stderr: {stderr}");
+        assert!(
+            stderr.contains("usage: hprc-exp"),
+            "{args:?} should print usage: {stderr}"
+        );
+    }
+}
+
+/// Every file under `dir`, by name, with its bytes.
+fn tree(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read out dir")
+        .map(|e| {
+            let e = e.expect("dir entry");
+            let name = e.file_name().into_string().expect("utf-8 name");
+            (name, std::fs::read(e.path()).expect("read artifact"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The CLI runs without a delta cache, so `--no-delta` is an accepted
+/// no-op: the same `out/` tree and report text either way, and
+/// `resume` takes the flag too.
+#[test]
+fn no_delta_is_an_accepted_no_op() {
+    let run = |tag: &str, extra: &[&str]| {
+        let dir = tmp_dir(tag);
+        let out = Command::new(exe())
+            .current_dir(&dir)
+            .args(["--jobs", "1", "--out", "out"])
+            .args(extra)
+            .args(["fig9a", "ext-faults"])
+            .output()
+            .expect("run binary");
+        assert!(
+            out.status.success(),
+            "{extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (dir, out.stdout)
+    };
+    let (plain, plain_text) = run("delta-plain", &[]);
+    let (flagged, flagged_text) = run("delta-flagged", &["--no-delta"]);
+    assert_eq!(plain_text, flagged_text, "report text differs");
+    let files = tree(&plain.join("out"));
+    assert!(files.iter().any(|(n, _)| n == "fig9a.csv"));
+    assert!(files.iter().any(|(n, _)| n == "ext-faults.csv"));
+    assert!(files == tree(&flagged.join("out")), "out/ trees differ");
+
+    let out = Command::new(exe())
+        .current_dir(&flagged)
+        .args(["resume", "run", "--out", "out", "--no-delta"])
+        .output()
+        .expect("run resume");
+    assert!(
+        out.status.success(),
+        "resume --no-delta: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("nothing to do"));
+    let _ = std::fs::remove_dir_all(&plain);
+    let _ = std::fs::remove_dir_all(&flagged);
 }
 
 fn run_fig9a_trace(dir: &Path, jobs: &str) -> Vec<u8> {
