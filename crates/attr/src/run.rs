@@ -261,6 +261,7 @@ impl AttributionReport {
 mod tests {
     use super::*;
     use hprc_ctx::ExecCtx;
+    use hprc_fault::FaultPlan;
     use hprc_fpga::floorplan::Floorplan;
     use hprc_model::params::NormalizedTimes;
     use hprc_sim::executor::{run_frtr, run_prtr};
@@ -282,8 +283,8 @@ mod tests {
             .collect();
         let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
         let ctx = ExecCtx::default();
-        let f = run_frtr(&node, &frtr_calls, &ctx).unwrap();
-        let p = run_prtr(&node, &calls, &ctx).unwrap();
+        let f = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let p = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
         (node, f, p)
     }
 

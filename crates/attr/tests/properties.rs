@@ -3,6 +3,7 @@
 
 use hprc_attr::{AttributionReport, Buckets, RunAttribution};
 use hprc_ctx::ExecCtx;
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_model::params::{ModelParams, NormalizedTimes};
 use hprc_sim::executor::{run_frtr, run_frtr_reference, run_prtr, run_prtr_reference};
@@ -54,8 +55,8 @@ proptest! {
         let calls = build_calls(&node, &spec);
         let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
         let ctx = ExecCtx::default();
-        let f = run_frtr(&node, &frtr_calls, &ctx).unwrap();
-        let p = run_prtr(&node, &calls, &ctx).unwrap();
+        let f = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let p = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
         for report in [&f, &p] {
             // checked_from_timeline panics on any violation; assert the
             // identity explicitly as well so the property reads as one.
@@ -75,8 +76,8 @@ proptest! {
         let calls = build_calls(&node, &spec);
         let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
         let ctx = ExecCtx::default();
-        let f = run_frtr(&node, &frtr_calls, &ctx).unwrap();
-        let p = run_prtr(&node, &calls, &ctx).unwrap();
+        let f = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let p = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
         let fa = RunAttribution::from_report("frtr", &f);
         let pa = RunAttribution::from_report("prtr", &p);
         // FRTR serializes configuration before execution: zero overlap.
@@ -115,8 +116,8 @@ proptest! {
             .collect();
         let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
         let ctx = ExecCtx::default();
-        let fast = run_prtr(&node, &calls, &ctx).unwrap();
-        let reference = run_prtr_reference(&node, &calls, &ctx).unwrap();
+        let fast = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let reference = run_prtr_reference(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
         // The fast path must actually have compressed, or this test
         // exercises nothing.
         prop_assert!(fast.timeline.n_items() < fast.timeline.len() as usize / 2);
@@ -125,8 +126,8 @@ proptest! {
         prop_assert_eq!(&fb, &rb);
         prop_assert_eq!(fb.total_ns(), fast.timeline.span_end().0);
 
-        let f_fast = run_frtr(&node, &frtr_calls, &ctx).unwrap();
-        let f_ref = run_frtr_reference(&node, &frtr_calls, &ctx).unwrap();
+        let f_fast = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let f_ref = run_frtr_reference(&node, &frtr_calls, &FaultPlan::disarmed(), &ctx).unwrap();
         prop_assert!(f_fast.timeline.n_items() < f_fast.timeline.len() as usize / 2);
         let fb = Buckets::checked_from_timeline(&f_fast.timeline);
         let rb = Buckets::checked_from_timeline(&f_ref.timeline);
@@ -158,8 +159,8 @@ proptest! {
             .collect();
         let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
         let ctx = ExecCtx::default();
-        let f = run_frtr(&node, &frtr_calls, &ctx).unwrap();
-        let p = run_prtr(&node, &calls, &ctx).unwrap();
+        let f = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let p = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
 
         // Realized (post-quantization) per-call durations, exact in ns.
         let t_ns = (f.calls[0].exec_end - f.calls[0].exec_start).0;

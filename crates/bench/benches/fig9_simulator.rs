@@ -8,6 +8,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hprc_ctx::ExecCtx;
 use hprc_exp::scenario::figure9_point;
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_sim::executor::{run_frtr, run_frtr_reference, run_prtr, run_prtr_reference};
 use hprc_sim::node::NodeConfig;
@@ -34,6 +35,7 @@ fn bench_executors(c: &mut Criterion) {
                 run_frtr(
                     black_box(&node),
                     black_box(&frtr_calls),
+                    &FaultPlan::disarmed(),
                     &ExecCtx::default(),
                 )
                 .unwrap()
@@ -44,6 +46,7 @@ fn bench_executors(c: &mut Criterion) {
                 run_frtr_reference(
                     black_box(&node),
                     black_box(&frtr_calls),
+                    &FaultPlan::disarmed(),
                     &ExecCtx::default(),
                 )
                 .unwrap()
@@ -54,6 +57,7 @@ fn bench_executors(c: &mut Criterion) {
                 run_prtr(
                     black_box(&node),
                     black_box(&prtr_calls),
+                    &FaultPlan::disarmed(),
                     &ExecCtx::default(),
                 )
                 .unwrap()
@@ -64,6 +68,7 @@ fn bench_executors(c: &mut Criterion) {
                 run_prtr_reference(
                     black_box(&node),
                     black_box(&prtr_calls),
+                    &FaultPlan::disarmed(),
                     &ExecCtx::default(),
                 )
                 .unwrap()

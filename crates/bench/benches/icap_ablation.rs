@@ -4,6 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hprc_ctx::ExecCtx;
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_sim::executor::run_prtr;
 use hprc_sim::icap::IcapPath;
@@ -50,7 +51,15 @@ fn bench_executor_under_variants(c: &mut Criterion) {
             })
             .collect();
         g.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| run_prtr(black_box(&node), black_box(&calls), &ExecCtx::default()).unwrap())
+            b.iter(|| {
+                run_prtr(
+                    black_box(&node),
+                    black_box(&calls),
+                    &FaultPlan::disarmed(),
+                    &ExecCtx::default(),
+                )
+                .unwrap()
+            })
         });
     }
     g.finish();

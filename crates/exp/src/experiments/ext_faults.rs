@@ -22,7 +22,7 @@ use serde::Serialize;
 
 use crate::report::{Report, Series};
 use crate::runner::par_indexed;
-use crate::scenario::{run_point_faulty, FaultyPointRun};
+use crate::scenario::{run_point, PointRun};
 use crate::table::{Align, TextTable};
 
 /// Fault rates swept, per injection site (`p_seu` runs at a quarter of
@@ -77,16 +77,10 @@ fn plan_for(rate: f64, plan_seed: u64) -> FaultPlan {
     }
 }
 
-fn run_rate(
-    rate: f64,
-    trace_seed: u64,
-    plan_seed: u64,
-    len: usize,
-    ctx: &ExecCtx,
-) -> FaultyPointRun {
+fn run_rate(rate: f64, trace_seed: u64, plan_seed: u64, len: usize, ctx: &ExecCtx) -> PointRun {
     let node = node();
     let plan = plan_for(rate, plan_seed);
-    run_point_faulty(
+    run_point(
         &node,
         &workload(len),
         trace_seed,

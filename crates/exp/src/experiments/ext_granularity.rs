@@ -41,7 +41,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
         let mut sim_peak = 0.0f64;
         let mut sim_peak_x = 0.0;
         for factor in [0.5, 0.8, 1.0, 1.25, 2.0] {
-            let p = figure9_point(&node, factor * node.t_prtr_s(), 300, ctx).0;
+            let p = figure9_point(&node, factor * node.t_prtr_s(), 300, ctx).point;
             if p.speedup_sim > sim_peak {
                 sim_peak = p.speedup_sim;
                 sim_peak_x = p.x_task;

@@ -31,7 +31,7 @@ fn peak(node: &NodeConfig, ctx: &ExecCtx) -> f64 {
         .iter()
         .map(|f| {
             figure9_point(node, f * node.t_prtr_s(), 300, ctx)
-                .0
+                .point
                 .speedup_sim
         })
         .fold(0.0, f64::max)

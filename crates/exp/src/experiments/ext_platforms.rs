@@ -131,7 +131,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
         for f in [0.6, 1.0, 1.5] {
             sim_peak = sim_peak.max(
                 figure9_point(&node, f * node.t_prtr_s(), 300, ctx)
-                    .0
+                    .point
                     .speedup_sim,
             );
         }

@@ -4,6 +4,7 @@
 //! locality-bearing workloads and the end-to-end speedup that follows.
 
 use hprc_ctx::ExecCtx;
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_sched::policies::{AlwaysMiss, Belady, Fifo, Lfu, Lru, Markov, RandomPolicy};
 use hprc_sched::policy::Policy;
@@ -78,7 +79,17 @@ pub fn run(ctx: &ExecCtx) -> Report {
     let mut rows = Vec::new();
     for spec in traces(len) {
         for (mut policy, prefetch) in policies(ctx.seed_for(42)) {
-            let p = run_point(&node, &spec, 42, policy.as_mut(), prefetch, t_task, ctx).0;
+            let p = run_point(
+                &node,
+                &spec,
+                ctx.seed_for(42),
+                policy.as_mut(),
+                prefetch,
+                t_task,
+                &FaultPlan::disarmed(),
+                ctx,
+            )
+            .point;
             rows.push(Row {
                 trace: spec.label(),
                 policy: policy.name().to_string(),

@@ -13,7 +13,7 @@ use serde::Serialize;
 
 use crate::report::Report;
 use crate::runner::par_indexed;
-use crate::scenario::{figure9_point, figure9_point_full, SweepPoint};
+use crate::scenario::{figure9_point, SweepPoint};
 use crate::table::{Align, TextTable};
 
 /// Which of the two panels to regenerate.
@@ -65,7 +65,7 @@ pub fn sweep(panel: Panel, points: usize, ctx: &ExecCtx) -> (NodeConfig, Vec<Swe
     let hi: f64 = 10.0;
     let sweep_points = par_indexed(points, ctx, |i, child| {
         let x = (lo.ln() + (hi.ln() - lo.ln()) * i as f64 / (points - 1) as f64).exp();
-        figure9_point(&node, x * node.t_frtr_s(), CALLS_PER_POINT, child).0
+        figure9_point(&node, x * node.t_frtr_s(), CALLS_PER_POINT, child).point
     });
     (node, sweep_points)
 }
@@ -75,7 +75,9 @@ pub fn sweep(panel: Panel, points: usize, ctx: &ExecCtx) -> (NodeConfig, Vec<Swe
 /// execution profile exported as the panel's Chrome trace.
 pub fn peak_timeline(panel: Panel, calls: usize, ctx: &ExecCtx) -> Timeline {
     let node = panel_node(panel);
-    figure9_point(&node, node.t_prtr_s(), calls, ctx).1
+    figure9_point(&node, node.t_prtr_s(), calls, ctx)
+        .prtr
+        .timeline
 }
 
 /// Wall-clock attribution of the panel's peak operating point
@@ -85,7 +87,7 @@ pub fn peak_timeline(panel: Panel, calls: usize, ctx: &ExecCtx) -> Timeline {
 /// `ctx.jobs` (single-point runs are serial).
 pub fn peak_attribution(panel: Panel, calls: usize, ctx: &ExecCtx) -> AttributionReport {
     let node = panel_node(panel);
-    let run = figure9_point_full(&node, node.t_prtr_s(), calls, ctx);
+    let run = figure9_point(&node, node.t_prtr_s(), calls, ctx);
     let id = match panel {
         Panel::Estimated => "fig9a",
         Panel::Measured => "fig9b",

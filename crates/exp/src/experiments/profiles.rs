@@ -4,6 +4,7 @@
 
 use hprc_attr::AttributionReport;
 use hprc_ctx::ExecCtx;
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_sim::executor::{run_frtr, run_prtr};
 use hprc_sim::node::NodeConfig;
@@ -45,7 +46,7 @@ fn build(
         .iter()
         .map(|n| TaskCall::with_task_time(*n, &node, t_task))
         .collect();
-    let frtr = run_frtr(&node, &frtr_calls, ctx).unwrap();
+    let frtr = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), ctx).unwrap();
 
     let miss_calls: Vec<PrtrCall> = frtr_calls
         .iter()
@@ -56,14 +57,14 @@ fn build(
             slot: i % 2,
         })
         .collect();
-    let prtr_miss = run_prtr(&node, &miss_calls, ctx).unwrap();
+    let prtr_miss = run_prtr(&node, &miss_calls, &FaultPlan::disarmed(), ctx).unwrap();
 
     let hit_calls: Vec<PrtrCall> = miss_calls
         .iter()
         .enumerate()
         .map(|(i, c)| PrtrCall { hit: i > 0, ..*c })
         .collect();
-    let prtr_hit = run_prtr(&node, &hit_calls, ctx).unwrap();
+    let prtr_hit = run_prtr(&node, &hit_calls, &FaultPlan::disarmed(), ctx).unwrap();
     (node, t_task, frtr, prtr_miss, prtr_hit)
 }
 

@@ -30,7 +30,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
             .iter()
             .map(|f| {
                 figure9_point(node, f * node.t_prtr_s(), 300, ctx)
-                    .0
+                    .point
                     .speedup_sim
             })
             .fold(0.0f64, f64::max)
@@ -39,7 +39,7 @@ pub fn run(ctx: &ExecCtx) -> Report {
     let peak_meas = peak(&meas);
 
     let x1 = figure9_point(&meas, meas.t_frtr_s(), 300, ctx)
-        .0
+        .point
         .speedup_sim;
 
     let mut rows = vec![

@@ -3,6 +3,7 @@
 //! agreement with what is predicted by the model".
 
 use hprc_ctx::ExecCtx;
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_model::validate::{validate, Measurement};
 use hprc_sim::executor::{run_frtr, run_prtr};
@@ -60,8 +61,12 @@ pub fn run(ctx: &ExecCtx) -> Report {
                 .collect();
             let t_task_actual = calls[0].task.task_time_s(&node);
             let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
-            let frtr_total = run_frtr(&node, &frtr_calls, ctx).unwrap().total_s();
-            let prtr_total = run_prtr(&node, &calls, ctx).unwrap().total_s();
+            let frtr_total = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), ctx)
+                .unwrap()
+                .total_s();
+            let prtr_total = run_prtr(&node, &calls, &FaultPlan::disarmed(), ctx)
+                .unwrap()
+                .total_s();
             let params = model_params_for(&node, t_task_actual, actual_h, n as u64);
             measurements.push(Measurement {
                 params,

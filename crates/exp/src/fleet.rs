@@ -33,7 +33,7 @@ use hprc_fpga::floorplan::Floorplan;
 use hprc_obs::{BudgetAccount, FleetTopology, Journal, RunBudget, ShardedRegistry};
 use hprc_sched::policies::Markov;
 use hprc_sched::traces::TraceSpec;
-use hprc_sim::executor::run_prtr_faulty;
+use hprc_sim::executor::run_prtr;
 use hprc_sim::node::NodeConfig;
 use serde::Serialize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -236,7 +236,7 @@ fn run_node(
         child,
     );
     let calls = prtr_calls(&node_cfg, &trace[..live], &sched.base, node_cfg.t_prtr_s());
-    let prtr = run_prtr_faulty(&node_cfg, &calls, &plan, child).map_err(|e| FleetError::Node {
+    let prtr = run_prtr(&node_cfg, &calls, &plan, child).map_err(|e| FleetError::Node {
         node: i,
         error: e.to_string(),
     })?;

@@ -2,20 +2,25 @@
 //! a workload trace through the configuration cache (`hprc-sched`), turning
 //! the per-call outcomes into simulator calls (`hprc-sim`), and lining up
 //! the equivalent analytical parameters (`hprc-model`).
+//!
+//! Every sweep point, clean or fault-injected, runs through one runner,
+//! [`run_point`], under a fault plan (the disarmed plan for a clean
+//! point). Its trace seed is always the *resolved* seed, used verbatim:
+//! callers derive it with [`ExecCtx::seed_for`] before the call.
 
 use hprc_ctx::{ExecCtx, Symbol};
+use hprc_fault::FaultPlan;
 use hprc_model::params::{ModelParams, NormalizedTimes};
 use hprc_sched::cache::TaskId;
 use hprc_sched::policy::Policy;
 use hprc_sched::preempt::{simulate_preemptive, PreemptCosts, PreemptOutcome, RtTask};
-use hprc_sched::simulate::{simulate, CallOutcome, SimulationOutcome};
+use hprc_sched::simulate::{CallOutcome, SimulationOutcome};
 use hprc_sched::traces::TraceSpec;
-use hprc_sim::executor::{run_frtr, run_frtr_faulty, run_prtr, run_prtr_faulty, ExecutionReport};
+use hprc_sim::executor::{run_frtr, run_prtr, ExecutionReport};
 use hprc_sim::node::NodeConfig;
 use hprc_sim::preempt::{run_preemptive, PreemptSegment};
 use hprc_sim::task::{PrtrCall, TaskCall};
 use hprc_sim::time::{SimDuration, SimTime};
-use hprc_sim::trace::Timeline;
 use serde::{Deserialize, Serialize};
 
 /// Names the three Table 1 application cores cyclically.
@@ -85,9 +90,21 @@ pub struct SweepPoint {
     pub speedup_model: f64,
 }
 
-/// Everything one executed sweep point produced: the summary point plus
-/// both full execution reports and the equivalent model parameters —
-/// the inputs the attribution layer (`hprc-attr`) consumes.
+/// Everything one executed sweep point produced: the summary point,
+/// both full execution reports, and the equivalent model parameters —
+/// the inputs the attribution layer (`hprc-attr`) consumes — plus the
+/// fault-aware cache simulation outcome.
+///
+/// Under an armed plan the `point`'s `speedup_sim` is the *paired*
+/// speedup — faulty FRTR total over faulty PRTR total, both carrying
+/// their recovery chains (faults tax FRTR's long chains proportionally
+/// harder, so this can exceed the clean ratio). The monotone
+/// *effective* speedup — clean FRTR baseline over faulty PRTR total —
+/// is what `ext-faults` reports, using its rate-0 point as the
+/// baseline. The model column still evaluates the fault-free equation
+/// (6) at the measured (degraded) `H`, so
+/// `point.speedup_model - point.speedup_sim` reads as the bound gap
+/// faults open up.
 #[derive(Debug, Clone)]
 pub struct PointRun {
     /// The summary sweep point.
@@ -98,81 +115,12 @@ pub struct PointRun {
     pub prtr: ExecutionReport,
     /// Model parameters at the *measured* hit ratio.
     pub params: ModelParams,
-}
-
-/// Runs one sweep point: generates the workload (seeded via
-/// [`ExecCtx::seed_for`], so the context's base seed perturbs every
-/// stream uniformly), simulates the cache with `policy`, executes both
-/// FRTR and PRTR on the node simulator, and evaluates the model at the
-/// *measured* hit ratio.
-///
-/// All three substrates record into `ctx.registry` (cache counters per
-/// policy, executor counters and lane gauges, the measured `H` gauge);
-/// the full reports come back in the [`PointRun`] so callers can export
-/// traces or attribute the runs.
-pub fn run_point_full(
-    node: &NodeConfig,
-    trace_spec: &TraceSpec,
-    seed: u64,
-    policy: &mut dyn Policy,
-    prefetch: bool,
-    t_task: f64,
-    ctx: &ExecCtx,
-) -> PointRun {
-    let jp = ctx.journal.enter("scenario.point", 0, 0);
-    let trace = trace_spec.generate(ctx.seed_for(seed));
-    let outcome = simulate(&trace, node.n_prrs, policy, prefetch, ctx);
-    let calls = prtr_calls(node, &trace, &outcome, t_task);
-    let t_task_actual = calls[0].task.task_time_s(node);
-    let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
-    let frtr = run_frtr(node, &frtr_calls, ctx).expect("FRTR run");
-    let prtr = run_prtr(node, &calls, ctx).expect("PRTR run");
-    let params = model_params_for(node, t_task_actual, outcome.hit_ratio(), trace.len() as u64);
-    ctx.registry
-        .gauge("exp.measured_hit_ratio")
-        .set(outcome.hit_ratio());
-    let point = SweepPoint {
-        x_task: t_task_actual / node.t_frtr_s(),
-        t_task_s: t_task_actual,
-        hit_ratio: outcome.hit_ratio(),
-        speedup_sim: frtr.total_s() / prtr.total_s(),
-        speedup_model: hprc_model::speedup::speedup(&params),
-    };
-    ctx.journal.exit(jp, frtr.total.0.max(prtr.total.0));
-    PointRun {
-        point,
-        frtr,
-        prtr,
-        params,
-    }
-}
-
-/// Everything one fault-injected sweep point produced. The `point`'s
-/// `speedup_sim` is the *paired* speedup — faulty FRTR total over
-/// faulty PRTR total, both carrying their recovery chains (faults tax
-/// FRTR's long chains proportionally harder, so this can exceed the
-/// clean ratio). The monotone *effective* speedup — clean FRTR
-/// baseline over faulty PRTR total — is what `ext-faults` reports,
-/// using its rate-0 point as the baseline. The model column still
-/// evaluates the fault-free equation (6) at the measured (degraded)
-/// `H`, so `point.speedup_model - point.speedup_sim` reads as the
-/// bound gap faults open up.
-#[derive(Debug, Clone)]
-pub struct FaultyPointRun {
-    /// The summary sweep point (effective speedup, degraded `H`).
-    pub point: SweepPoint,
-    /// Full faulty FRTR execution report.
-    pub frtr: ExecutionReport,
-    /// Full faulty PRTR execution report.
-    pub prtr: ExecutionReport,
-    /// Model parameters at the measured degraded hit ratio.
-    pub params: ModelParams,
-    /// The fault-aware cache simulation outcome (fates, wipes,
-    /// blacklists, drops).
+    /// The cache simulation outcome with its fault accounting (fates,
+    /// wipes, blacklists, drops — all zero under a disarmed plan).
     pub sched: hprc_sched::FaultyOutcome,
 }
 
-impl FaultyPointRun {
+impl PointRun {
     /// Availability: fraction of calls served (PRTR side; the paper's
     /// graceful-degradation axis).
     pub fn availability(&self) -> f64 {
@@ -180,55 +128,56 @@ impl FaultyPointRun {
     }
 }
 
-/// [`run_point_full`] with the fault plan threaded through both the
-/// cache layer ([`simulate_faulty`](hprc_sched::simulate_faulty)) and
-/// the executors
-/// ([`run_prtr_faulty`](hprc_sim::executor::run_prtr_faulty) /
-/// [`run_frtr_faulty`](hprc_sim::executor::run_frtr_faulty)).
+/// Runs one sweep point under `plan`: generates the workload,
+/// simulates the cache with `policy`
+/// ([`simulate_faulty`](hprc_sched::simulate_faulty)), executes both
+/// FRTR and PRTR on the node simulator, and evaluates the model at the
+/// *measured* hit ratio. A clean point passes
+/// [`FaultPlan::disarmed`](hprc_fault::FaultPlan::disarmed).
 ///
-/// `trace_seed` is the *resolved* workload seed, used verbatim (not
-/// re-derived through [`ExecCtx::seed_for`]) — callers sweeping fault
-/// rates pass the same trace seed and the same plan seed to every rate
-/// so the draws stay coupled and degradation is monotone by
-/// construction, not by luck. A disarmed plan reproduces
-/// [`run_point_full`] exactly.
-#[allow(clippy::too_many_arguments)] // mirrors run_point_full + plan
-pub fn run_point_faulty(
+/// `trace_seed` is the *resolved* workload seed and is used verbatim:
+/// callers derive it from their stream tag with [`ExecCtx::seed_for`],
+/// so the context's base seed perturbs every stream uniformly. A sweep
+/// over fault rates resolves one trace seed and one plan seed from the
+/// parent context before it fans out and passes them to every rate, so
+/// the draws stay coupled and degradation is monotone by construction,
+/// not by luck.
+///
+/// All three substrates record into `ctx.registry` (cache counters per
+/// policy, executor counters and lane gauges, the measured `H` gauge);
+/// the full reports come back in the [`PointRun`] so callers can export
+/// traces or attribute the runs.
+#[allow(clippy::too_many_arguments)]
+pub fn run_point(
     node: &NodeConfig,
     trace_spec: &TraceSpec,
     trace_seed: u64,
     policy: &mut dyn Policy,
     prefetch: bool,
     t_task: f64,
-    plan: &hprc_fault::FaultPlan,
+    plan: &FaultPlan,
     ctx: &ExecCtx,
-) -> FaultyPointRun {
+) -> PointRun {
     let jp = ctx.journal.enter("scenario.point", 0, 0);
     let trace = trace_spec.generate(trace_seed);
     let sched = hprc_sched::simulate_faulty(&trace, node.n_prrs, policy, prefetch, plan, ctx);
     let calls = prtr_calls(node, &trace, &sched.base, t_task);
     let t_task_actual = calls[0].task.task_time_s(node);
     let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
-    let frtr = run_frtr_faulty(node, &frtr_calls, plan, ctx).expect("faulty FRTR run");
-    let prtr = run_prtr_faulty(node, &calls, plan, ctx).expect("faulty PRTR run");
-    let params = model_params_for(
-        node,
-        t_task_actual,
-        sched.base.hit_ratio(),
-        trace.len() as u64,
-    );
-    ctx.registry
-        .gauge("exp.measured_hit_ratio")
-        .set(sched.base.hit_ratio());
+    let frtr = run_frtr(node, &frtr_calls, plan, ctx).expect("FRTR run");
+    let prtr = run_prtr(node, &calls, plan, ctx).expect("PRTR run");
+    let hit_ratio = sched.base.hit_ratio();
+    let params = model_params_for(node, t_task_actual, hit_ratio, trace.len() as u64);
+    ctx.registry.gauge("exp.measured_hit_ratio").set(hit_ratio);
     let point = SweepPoint {
         x_task: t_task_actual / node.t_frtr_s(),
         t_task_s: t_task_actual,
-        hit_ratio: sched.base.hit_ratio(),
+        hit_ratio,
         speedup_sim: frtr.total_s() / prtr.total_s(),
         speedup_model: hprc_model::speedup::speedup(&params),
     };
     ctx.journal.exit(jp, frtr.total.0.max(prtr.total.0));
-    FaultyPointRun {
+    PointRun {
         point,
         frtr,
         prtr,
@@ -304,7 +253,7 @@ pub fn run_point_preemptive(
     n_slots: usize,
     policy: &mut dyn Policy,
     quantum_s: f64,
-    plan: &hprc_fault::FaultPlan,
+    plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> PreemptPointRun {
     let costs = preempt_costs_for(node, quantum_s);
@@ -314,37 +263,10 @@ pub fn run_point_preemptive(
     PreemptPointRun { outcome, report }
 }
 
-/// [`run_point_full`], keeping only the summary point and the PRTR
-/// timeline.
-pub fn run_point(
-    node: &NodeConfig,
-    trace_spec: &TraceSpec,
-    seed: u64,
-    policy: &mut dyn Policy,
-    prefetch: bool,
-    t_task: f64,
-    ctx: &ExecCtx,
-) -> (SweepPoint, Timeline) {
-    let run = run_point_full(node, trace_spec, seed, policy, prefetch, t_task, ctx);
-    (run.point, run.prtr.timeline)
-}
-
 /// The paper's Figure 9 workload: the three image filters cycling through
-/// the PRRs, no prefetching (H = 0) — `n` calls at each task time.
-/// Metrics go to `ctx.registry`; the PRTR timeline is returned.
-pub fn figure9_point(
-    node: &NodeConfig,
-    t_task: f64,
-    n: usize,
-    ctx: &ExecCtx,
-) -> (SweepPoint, Timeline) {
-    let run = figure9_point_full(node, t_task, n, ctx);
-    (run.point, run.prtr.timeline)
-}
-
-/// [`figure9_point`] with the full execution reports and model
-/// parameters retained (the attribution layer's input).
-pub fn figure9_point_full(node: &NodeConfig, t_task: f64, n: usize, ctx: &ExecCtx) -> PointRun {
+/// the PRRs, no prefetching (H = 0), no faults — `n` calls at each task
+/// time (workload stream tag 1). Metrics go to `ctx.registry`.
+pub fn figure9_point(node: &NodeConfig, t_task: f64, n: usize, ctx: &ExecCtx) -> PointRun {
     let spec = TraceSpec::Looping {
         stages: 3,
         n_tasks: 3,
@@ -352,7 +274,17 @@ pub fn figure9_point_full(node: &NodeConfig, t_task: f64, n: usize, ctx: &ExecCt
         len: n,
     };
     let mut policy = hprc_sched::policies::AlwaysMiss::new();
-    run_point_full(node, &spec, 1, &mut policy, false, t_task, ctx)
+    let plan = FaultPlan::disarmed();
+    run_point(
+        node,
+        &spec,
+        ctx.seed_for(1),
+        &mut policy,
+        false,
+        t_task,
+        &plan,
+        ctx,
+    )
 }
 
 #[cfg(test)]
@@ -368,7 +300,7 @@ mod tests {
     #[test]
     fn figure9_point_matches_model_closely() {
         let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
-        let p = figure9_point(&node, node.t_prtr_s(), 400, &dctx()).0;
+        let p = figure9_point(&node, node.t_prtr_s(), 400, &dctx()).point;
         assert_eq!(p.hit_ratio, 0.0);
         let rel = (p.speedup_sim - p.speedup_model).abs() / p.speedup_model;
         assert!(
@@ -391,7 +323,8 @@ mod tests {
         };
         // Two tasks, two PRRs, LRU: everything hits after warmup.
         let mut lru = hprc_sched::policies::Lru::new();
-        let p = run_point(&node, &spec, 3, &mut lru, false, 0.05, &dctx()).0;
+        let clean = FaultPlan::disarmed();
+        let p = run_point(&node, &spec, 3, &mut lru, false, 0.05, &clean, &dctx()).point;
         assert!(p.hit_ratio > 0.95, "H = {}", p.hit_ratio);
         assert!(p.speedup_sim > 1.0);
     }
@@ -406,23 +339,37 @@ mod tests {
             len: 300,
         };
         let t_task = 0.2 * node.t_prtr_s(); // config-bound regime
+        let clean = FaultPlan::disarmed();
+        let mut always_miss = AlwaysMiss::new();
         let base = run_point(
             &node,
             &spec,
             5,
-            &mut AlwaysMiss::new(),
+            &mut always_miss,
             false,
             t_task,
+            &clean,
             &dctx(),
-        )
-        .0;
-        let pf = run_point(&node, &spec, 5, &mut Markov::new(), true, t_task, &dctx()).0;
+        );
+        let pf = run_point(
+            &node,
+            &spec,
+            5,
+            &mut Markov::new(),
+            true,
+            t_task,
+            &clean,
+            &dctx(),
+        );
+        let (base, pf) = (base.point, pf.point);
         assert!(pf.hit_ratio > base.hit_ratio);
         assert!(pf.speedup_sim > base.speedup_sim);
     }
 
     #[test]
     fn disarmed_faulty_point_matches_clean_point() {
+        // Under the disarmed plan the point runner is the clean
+        // pipeline: the plain cache simulation feeding clean executors.
         let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
         let spec = TraceSpec::Looping {
             stages: 3,
@@ -431,29 +378,27 @@ mod tests {
             len: 200,
         };
         let ctx = dctx();
-        let clean = run_point_full(
+        let t_task = node.t_prtr_s();
+        let clean = FaultPlan::disarmed();
+        let run = run_point(
             &node,
             &spec,
             7,
             &mut Markov::new(),
             true,
-            node.t_prtr_s(),
+            t_task,
+            &clean,
             &ctx,
         );
-        let faulty = run_point_faulty(
-            &node,
-            &spec,
-            ctx.seed_for(7),
-            &mut Markov::new(),
-            true,
-            node.t_prtr_s(),
-            &hprc_fault::FaultPlan::disarmed(),
-            &ctx,
-        );
-        assert_eq!(clean.point, faulty.point);
-        assert_eq!(clean.frtr, faulty.frtr);
-        assert_eq!(clean.prtr, faulty.prtr);
-        assert_eq!(faulty.sched.dropped, 0);
+        let trace = spec.generate(7);
+        let outcome = hprc_sched::simulate(&trace, node.n_prrs, &mut Markov::new(), true, &ctx);
+        let calls = prtr_calls(&node, &trace, &outcome, t_task);
+        let tasks: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
+        assert_eq!(run.sched.base, outcome);
+        assert_eq!(run.frtr, run_frtr(&node, &tasks, &clean, &ctx).unwrap());
+        assert_eq!(run.prtr, run_prtr(&node, &calls, &clean, &ctx).unwrap());
+        assert_eq!(run.sched.dropped, 0);
+        assert_eq!(run.availability(), 1.0);
     }
 
     #[test]
@@ -468,25 +413,25 @@ mod tests {
             noise: 0.2,
             len: 300,
         };
-        let plan = hprc_fault::FaultPlan::new(
+        let plan = FaultPlan::new(
             hprc_fault::FaultSpec::uniform(0.1),
             hprc_fault::RecoveryPolicy::default(),
             99,
         );
         let mk_clean = || {
-            run_point_faulty(
+            run_point(
                 &node,
                 &spec,
                 11,
                 &mut Markov::new(),
                 true,
                 node.t_prtr_s(),
-                &hprc_fault::FaultPlan::disarmed(),
+                &FaultPlan::disarmed(),
                 &dctx(),
             )
         };
         let clean = mk_clean();
-        let faulty = run_point_faulty(
+        let faulty = run_point(
             &node,
             &spec,
             11,
@@ -507,7 +452,7 @@ mod tests {
         assert!(faulty.point.hit_ratio <= clean.point.hit_ratio);
         assert!(faulty.availability() <= 1.0);
         // Replay is exact.
-        let again = run_point_faulty(
+        let again = run_point(
             &node,
             &spec,
             11,

@@ -14,7 +14,7 @@
 use hprc_ctx::ExecCtx;
 use hprc_exp::experiments::ext_preempt::vision_pipeline;
 use hprc_exp::runner::par_indexed;
-use hprc_exp::scenario::{run_point_faulty, run_point_full, run_point_preemptive};
+use hprc_exp::scenario::{run_point, run_point_preemptive};
 use hprc_fault::{FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_fpga::floorplan::Floorplan;
 use hprc_obs::{DeltaCache, Journal, Registry};
@@ -102,7 +102,18 @@ fn clean_sweep(
     let ctx = instrumented_ctx(seed, jobs, delta);
     let runs = par_indexed(t_tasks.len(), &ctx, |i, child| {
         let mut policy = Markov::new();
-        run_point_full(&n, &spec(len), 1, &mut policy, false, t_tasks[i], child)
+        let clean = FaultPlan::disarmed();
+        let seed = child.seed_for(1);
+        run_point(
+            &n,
+            &spec(len),
+            seed,
+            &mut policy,
+            false,
+            t_tasks[i],
+            &clean,
+            child,
+        )
     });
     let attr: Vec<_> = runs
         .iter()
@@ -135,7 +146,7 @@ fn faulty_sweep(seed: u64, len: usize, rates: &[f64], jobs: usize, delta: DeltaC
             RecoveryPolicy::default(),
             seed ^ 0x5eed,
         );
-        run_point_faulty(
+        run_point(
             &n,
             &spec(len),
             seed,
@@ -304,7 +315,18 @@ fn quiet_executor_memo_replays_identically() {
             .with_delta(delta);
         par_indexed(t_tasks.len(), &ctx, |i, child| {
             let mut policy = Markov::new();
-            run_point_full(&n, &spec(80), 1, &mut policy, false, t_tasks[i], child)
+            let clean = FaultPlan::disarmed();
+            let seed = child.seed_for(1);
+            run_point(
+                &n,
+                &spec(80),
+                seed,
+                &mut policy,
+                false,
+                t_tasks[i],
+                &clean,
+                child,
+            )
         })
         .into_iter()
         .map(|r| (r.point, r.frtr, r.prtr))

@@ -35,30 +35,58 @@ use hprc_fault::FaultPlan;
 use hprc_obs::delta::bytes as dbytes;
 use hprc_obs::DeltaCache;
 
+use crate::error::SimError;
 use crate::executor::ExecutionReport;
 use crate::node::NodeConfig;
 use crate::preempt::PreemptSegment;
 use crate::task::{PrtrCall, TaskCall};
 
-/// Whether a memoized report may be *returned* in `ctx`: only a quiet
-/// context observes nothing but the report itself.
-pub(crate) fn replay_allowed(ctx: &ExecCtx) -> bool {
-    !ctx.registry.is_enabled() && !ctx.journal.is_enabled()
+/// Runs `render` through the whole-run memo. With the cache enabled
+/// and the fast path on, the report is stored under `key()` — and a
+/// quiet context (no live registry, no live journal) replays a stored
+/// report as one clone instead of rendering. An instrumented run must
+/// lay out its per-call counter, histogram, and journal records, which
+/// a cloned report cannot carry.
+pub(crate) fn memoized(
+    ctx: &ExecCtx,
+    fast: bool,
+    key: impl FnOnce() -> Vec<u8>,
+    n_calls: usize,
+    render: impl FnOnce() -> Result<ExecutionReport, SimError>,
+) -> Result<ExecutionReport, SimError> {
+    if !fast || !ctx.delta.is_enabled() {
+        return render();
+    }
+    let key = key();
+    let replayable = !ctx.registry.is_enabled() && !ctx.journal.is_enabled();
+    if replayable {
+        if let Some(r) = fetch(&ctx.delta, &key) {
+            ctx.delta.note_full_hit(n_calls as u64);
+            return Ok((*r).clone());
+        }
+    }
+    let report = render()?;
+    store(&ctx.delta, key, &report);
+    if replayable {
+        ctx.delta.note_miss(n_calls as u64);
+    }
+    Ok(report)
 }
 
+/// A disarmed plan keys as a fault-free run: it renders one.
 fn key_header(k: &mut Vec<u8>, domain: &str, node: &NodeConfig, plan: Option<&FaultPlan>) {
     dbytes::put_str(k, domain);
     dbytes::put_str(k, &format!("{node:?}"));
-    match plan {
+    match plan.filter(|p| p.armed()) {
         Some(p) => dbytes::put_str(k, &format!("{p:?}")),
         None => dbytes::put_u64(k, 0),
     }
 }
 
 /// Full-input key of an FRTR run.
-pub(crate) fn frtr_key(node: &NodeConfig, calls: &[TaskCall], plan: Option<&FaultPlan>) -> Vec<u8> {
+pub(crate) fn frtr_key(node: &NodeConfig, calls: &[TaskCall], plan: &FaultPlan) -> Vec<u8> {
     let mut k = Vec::with_capacity(128 + calls.len() * 32);
-    key_header(&mut k, "sim.frtr", node, plan);
+    key_header(&mut k, "sim.frtr", node, Some(plan));
     dbytes::put_u64(&mut k, calls.len() as u64);
     for c in calls {
         dbytes::put_str(&mut k, c.name.as_str());
@@ -69,9 +97,9 @@ pub(crate) fn frtr_key(node: &NodeConfig, calls: &[TaskCall], plan: Option<&Faul
 }
 
 /// Full-input key of a PRTR run.
-pub(crate) fn prtr_key(node: &NodeConfig, calls: &[PrtrCall], plan: Option<&FaultPlan>) -> Vec<u8> {
+pub(crate) fn prtr_key(node: &NodeConfig, calls: &[PrtrCall], plan: &FaultPlan) -> Vec<u8> {
     let mut k = Vec::with_capacity(128 + calls.len() * 40);
-    key_header(&mut k, "sim.prtr", node, plan);
+    key_header(&mut k, "sim.prtr", node, Some(plan));
     dbytes::put_u64(&mut k, calls.len() as u64);
     for c in calls {
         dbytes::put_str(&mut k, c.task.name.as_str());
@@ -125,12 +153,12 @@ pub(crate) fn preempt_key(node: &NodeConfig, segments: &[PreemptSegment]) -> Vec
 
 /// Looks a memoized report up (counts one lookup when the cache is
 /// enabled).
-pub(crate) fn fetch(delta: &DeltaCache, key: &[u8]) -> Option<Arc<ExecutionReport>> {
+fn fetch(delta: &DeltaCache, key: &[u8]) -> Option<Arc<ExecutionReport>> {
     delta.get(key).and_then(|v| v.downcast().ok())
 }
 
 /// Stores a finished report under `key`.
-pub(crate) fn store(delta: &DeltaCache, key: Vec<u8>, report: &ExecutionReport) {
+fn store(delta: &DeltaCache, key: Vec<u8>, report: &ExecutionReport) {
     let bytes = 128
         + report.calls.len() as u64 * std::mem::size_of::<crate::executor::CallTiming>() as u64
         + report.timeline.n_items() as u64 * 64;
@@ -146,6 +174,7 @@ mod tests {
     use crate::executor::{run_frtr, run_prtr, run_prtr_reference};
     use crate::node::NodeConfig;
     use crate::task::{PrtrCall, TaskCall};
+    use hprc_fault::FaultPlan;
 
     fn node() -> NodeConfig {
         NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr())
@@ -170,19 +199,25 @@ mod tests {
         let ctx = ExecCtx::default().with_delta(delta.clone());
         let plain = ExecCtx::default();
 
-        let first_p = run_prtr(&node, &calls, &ctx).unwrap();
-        let first_f = run_frtr(&node, &tasks, &ctx).unwrap();
+        let first_p = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let first_f = run_frtr(&node, &tasks, &FaultPlan::disarmed(), &ctx).unwrap();
         assert_eq!(delta.account().unwrap().misses, 2);
-        let second_p = run_prtr(&node, &calls, &ctx).unwrap();
-        let second_f = run_frtr(&node, &tasks, &ctx).unwrap();
+        let second_p = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let second_f = run_frtr(&node, &tasks, &FaultPlan::disarmed(), &ctx).unwrap();
         let acct = delta.account().unwrap();
         assert_eq!(acct.full_hits, 2);
         assert_eq!(acct.calls_replayed, 120);
 
         assert_eq!(first_p, second_p);
         assert_eq!(first_f, second_f);
-        assert_eq!(first_p, run_prtr(&node, &calls, &plain).unwrap());
-        assert_eq!(first_f, run_frtr(&node, &tasks, &plain).unwrap());
+        assert_eq!(
+            first_p,
+            run_prtr(&node, &calls, &FaultPlan::disarmed(), &plain).unwrap()
+        );
+        assert_eq!(
+            first_f,
+            run_frtr(&node, &tasks, &FaultPlan::disarmed(), &plain).unwrap()
+        );
     }
 
     #[test]
@@ -195,9 +230,9 @@ mod tests {
             .with_delta(delta.clone())
             .with_registry(reg.clone());
 
-        let a = run_prtr(&node, &calls, &ictx).unwrap();
+        let a = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ictx).unwrap();
         let snap_once = reg.snapshot();
-        let b = run_prtr(&node, &calls, &ictx).unwrap();
+        let b = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ictx).unwrap();
         assert_eq!(a, b);
         // Both instrumented runs laid their records out longhand.
         assert_eq!(delta.account().unwrap().full_hits, 0);
@@ -208,7 +243,10 @@ mod tests {
 
         // A quiet run replays what the instrumented run stored.
         let qctx = ExecCtx::default().with_delta(delta.clone());
-        assert_eq!(a, run_prtr(&node, &calls, &qctx).unwrap());
+        assert_eq!(
+            a,
+            run_prtr(&node, &calls, &FaultPlan::disarmed(), &qctx).unwrap()
+        );
         assert_eq!(delta.account().unwrap().full_hits, 1);
     }
 
@@ -218,8 +256,8 @@ mod tests {
         let calls = calls(&node, 40);
         let delta = DeltaCache::new(1 << 22);
         let ctx = ExecCtx::default().with_delta(delta.clone());
-        let a = run_prtr_reference(&node, &calls, &ctx).unwrap();
-        let b = run_prtr_reference(&node, &calls, &ctx).unwrap();
+        let a = run_prtr_reference(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
+        let b = run_prtr_reference(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
         assert_eq!(a, b);
         let acct = delta.account().unwrap();
         assert_eq!(acct.lookups + acct.stored, 0);
@@ -233,11 +271,17 @@ mod tests {
         calls_b[17].hit = !calls_b[17].hit;
         let delta = DeltaCache::new(1 << 22);
         let ctx = ExecCtx::default().with_delta(delta.clone());
-        let a = run_prtr(&node, &calls_a, &ctx).unwrap();
-        let b = run_prtr(&node, &calls_b, &ctx).unwrap();
+        let a = run_prtr(&node, &calls_a, &FaultPlan::disarmed(), &ctx).unwrap();
+        let b = run_prtr(&node, &calls_b, &FaultPlan::disarmed(), &ctx).unwrap();
         assert_ne!(a, b);
         assert_eq!(delta.account().unwrap().misses, 2);
-        assert_eq!(a, run_prtr(&node, &calls_a, &ExecCtx::default()).unwrap());
-        assert_eq!(b, run_prtr(&node, &calls_b, &ExecCtx::default()).unwrap());
+        assert_eq!(
+            a,
+            run_prtr(&node, &calls_a, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap()
+        );
+        assert_eq!(
+            b,
+            run_prtr(&node, &calls_b, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap()
+        );
     }
 }

@@ -27,6 +27,15 @@
 //! ignores, which is precisely what makes simulator-vs-model validation
 //! meaningful.
 //!
+//! # One call body, clean or faulted
+//!
+//! Both executors take a [`FaultPlan`]; a clean run is a run under
+//! [`FaultPlan::disarmed`]. Each loop has a single per-call body: a
+//! clean fate and a faulted fate differ only in the configure step (one
+//! configuration versus the plan's retry/escalation chain), and every
+//! call then goes through the same control, execute, timing, and
+//! latency tail.
+//!
 //! # Steady-state fast path
 //!
 //! The per-call recurrence of both executors is a deterministic function
@@ -39,19 +48,23 @@
 //! `p` calls, the executor key-compares forward as many whole periods as
 //! actually repeat and replaces them with a closed-form jump: one
 //! run-length-encoded timeline block ([`Timeline::push_repeat`]), shifted
-//! copies of the period's [`CallTiming`]s, bulk counter adds, and bulk
+//! copies of the period's [`CallTiming`]s, bulk tallies, and bulk
 //! histogram sample replication ([`hprc_obs::Histogram::record_cycle`]).
+//! One detector (`SteadyState`) does this for both executors and for
+//! the preemptive renderer ([`crate::preempt`]).
 //! Every total, per-call timing, metric, and expanded timeline event is
 //! **bit-identical** to the per-call path — the jump only elides work
 //! whose outcome is already proven, and all floating-point derivation
 //! downstream happens on the expanded event stream in original order.
-//! Aperiodic stretches (e.g. the dithered hit patterns of the validation
-//! experiment) simply keep simulating per-call; detection re-arms after
-//! every jump, so a sequence with several periodic runs jumps several
-//! times. [`run_frtr_reference`] and [`run_prtr_reference`] expose the
-//! pure per-call path as the equivalence oracle.
+//! Faulted calls carry unique keys, so jumps stay inside fault-free
+//! stretches. Aperiodic stretches (e.g. the dithered hit patterns of the
+//! validation experiment) simply keep simulating per-call; detection
+//! re-arms after every jump, so a sequence with several periodic runs
+//! jumps several times. [`run_frtr_reference`] and [`run_prtr_reference`]
+//! expose the pure per-call path as the equivalence oracle.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
 use hprc_ctx::{ExecCtx, Symbol};
 use hprc_fault::{AttemptOutcome, CallFate, FaultPlan, FaultSite, FaultState};
@@ -156,36 +169,213 @@ struct RelState {
     prev_bytes_in: u64,
 }
 
-/// Where a `(key, state)` pair was last seen: enough to locate the
-/// candidate period's calls, events, and timings. Shared with the
-/// preemptive renderer ([`crate::preempt`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SeenAt {
-    /// Call index about to be processed when the pair was recorded.
-    pub(crate) i0: usize,
-    /// The time anchor at that point (`now` for FRTR, `prev_start` for
-    /// PRTR); the per-period shift is `anchor_now − anchor_then`.
-    pub(crate) anchor: SimTime,
-    /// `timeline.n_items()` at that point.
-    pub(crate) items_marker: usize,
-    /// `timings.len()` at that point.
-    pub(crate) timings_marker: usize,
-    /// The journal position at that point (for
-    /// [`hprc_obs::Journal::replay_cycle`]).
-    pub(crate) jmark: hprc_obs::JournalMark,
+/// The output a renderer lays down call by call: the timeline, the
+/// per-call timings (each recording its marginal-latency sample), and
+/// `N` renderer-defined tallies — counter values and report counts,
+/// summed locally and published once the run ends. Shared by the FRTR,
+/// PRTR, and preemptive ([`crate::preempt`]) renderers.
+pub(crate) struct Render<'a, const N: usize> {
+    pub(crate) timeline: Timeline,
+    pub(crate) labels: LabelCache,
+    pub(crate) timings: Vec<CallTiming>,
+    pub(crate) tally: [u64; N],
+    latency: hprc_obs::Histogram,
+    journal: &'a hprc_obs::Journal,
 }
 
-/// Key-compares forward from call `j`: how many whole periods of length
-/// `p` (the keys at `i0..i0+p`) repeat verbatim before the sequence
-/// diverges or ends. Runs in O(verified calls) and fails at the first
-/// mismatching key.
-pub(crate) fn verified_periods<K: PartialEq>(keys: &[K], i0: usize, p: usize, mut j: usize) -> u64 {
-    let mut m = 0u64;
-    while j + p <= keys.len() && (0..p).all(|k| keys[j + k] == keys[i0 + k]) {
-        m += 1;
-        j += p;
+/// Marginal latency of call `t`: completion-to-completion, clamped at
+/// zero because preemptive execution windows on different PRRs may
+/// overlap (FRTR and PRTR complete in order, so the clamp never bites
+/// there). In steady state this is the model's per-call increment, e.g.
+/// `max(T_task + T_decision, T_PRTR) + T_control` on a PRTR miss.
+fn marginal_latency_s(timings: &[CallTiming], t: usize) -> f64 {
+    let prev_end = t
+        .checked_sub(1)
+        .map_or(SimTime::ZERO, |p| timings[p].exec_end);
+    (timings[t].exec_end.max(prev_end) - prev_end).as_secs_f64()
+}
+
+impl<'a, const N: usize> Render<'a, N> {
+    /// An empty render recording latencies under `latency_metric`.
+    pub(crate) fn new(ctx: &'a ExecCtx, latency_metric: &str, n_calls: usize) -> Self {
+        Render {
+            timeline: Timeline::default(),
+            labels: LabelCache::default(),
+            timings: Vec::with_capacity(n_calls),
+            tally: [0; N],
+            latency: ctx.registry.histogram(latency_metric),
+            journal: &ctx.journal,
+        }
     }
-    m
+
+    /// Appends one call's timing and records its marginal latency.
+    pub(crate) fn push_timing(&mut self, timing: CallTiming) {
+        self.timings.push(timing);
+        let t = self.timings.len() - 1;
+        self.latency.record(marginal_latency_s(&self.timings, t));
+    }
+
+    /// Closes the run: publishes the timeline's lane gauges under
+    /// `prefix` and assembles the report.
+    pub(crate) fn into_report(
+        self,
+        registry: &hprc_obs::Registry,
+        prefix: &str,
+        total: SimDuration,
+        n_config: u64,
+        n_dropped: u64,
+    ) -> ExecutionReport {
+        self.timeline.record_metrics(registry, prefix);
+        ExecutionReport {
+            total,
+            calls: self.timings,
+            timeline: self.timeline,
+            n_config,
+            n_dropped,
+        }
+    }
+
+    fn mark(&self, i0: usize, anchor: SimTime) -> SeenAt<N> {
+        SeenAt {
+            i0,
+            anchor,
+            items_marker: self.timeline.n_items(),
+            timings_marker: self.timings.len(),
+            tally: self.tally,
+            jmark: self.journal.mark(),
+        }
+    }
+
+    /// Replicates the block rendered since `at` `m` more times, each
+    /// copy shifted one more `delta_ns`: one run-length-encoded timeline
+    /// block, shifted timings, bulk latency samples, bulk tallies, and a
+    /// journal cycle replay.
+    fn repeat(&mut self, at: &SeenAt<N>, m: u64, delta_ns: u64) {
+        let pattern = self.timeline.split_off_events(at.items_marker);
+        self.timeline
+            .push_repeat(pattern, m + 1, SimDuration(delta_ns));
+        let end = self.timings.len();
+        let latencies: Vec<f64> = (at.timings_marker..end)
+            .map(|t| marginal_latency_s(&self.timings, t))
+            .collect();
+        self.latency.record_cycle(&latencies, m);
+        self.timings.reserve((end - at.timings_marker) * m as usize);
+        for k in 1..=m {
+            for t in at.timings_marker..end {
+                let shifted = self.timings[t].shifted(k * delta_ns);
+                self.timings.push(shifted);
+            }
+        }
+        for (now, then) in self.tally.iter_mut().zip(at.tally) {
+            *now += m * (*now - then);
+        }
+        self.journal.replay_cycle(at.jmark, m, delta_ns);
+    }
+}
+
+/// Adds each `(name, value)` to its registry counter.
+pub(crate) fn publish(registry: &hprc_obs::Registry, counts: &[(&str, u64)]) {
+    for &(name, value) in counts {
+        registry.counter(name).add(value);
+    }
+}
+
+/// Where a `(key, state)` pair was last seen: enough to locate the
+/// candidate period's calls, events, timings, and tallies.
+#[derive(Debug, Clone, Copy)]
+struct SeenAt<const N: usize> {
+    /// Call index about to be processed when the pair was recorded.
+    i0: usize,
+    /// The time anchor at that point; the per-period shift is
+    /// `anchor_now − anchor_then`.
+    anchor: SimTime,
+    /// `timeline.n_items()` at that point.
+    items_marker: usize,
+    /// `timings.len()` at that point.
+    timings_marker: usize,
+    /// The tallies at that point.
+    tally: [u64; N],
+    /// The journal position at that point (for
+    /// [`hprc_obs::Journal::replay_cycle`]).
+    jmark: hprc_obs::JournalMark,
+}
+
+/// The steady-state detector all three renderers share (see the module
+/// docs). Per-call keys `K` carry a salt: 0 for fault-free calls, a
+/// unique per-index value otherwise — so a faulty call never
+/// key-matches and no proven period can span a fault. Jumps stay
+/// confined to clean stretches, where the recurrence is untouched.
+/// `R` is the renderer's relative carry-over state.
+pub(crate) struct SteadyState<K, R, const N: usize> {
+    /// Salted keys; empty on the reference path, which never jumps.
+    keys: Vec<(K, u64)>,
+    seen: HashMap<((K, u64), R), SeenAt<N>>,
+}
+
+impl<K: Copy + Eq + Hash, R: Copy + Eq + Hash, const N: usize> SteadyState<K, R, N> {
+    /// A detector over `n` calls keyed by `key(i)`, salting every call
+    /// that is not `clean(i)`; `enabled == false` never jumps.
+    pub(crate) fn new(
+        enabled: bool,
+        n: usize,
+        key: impl Fn(usize) -> K,
+        clean: impl Fn(usize) -> bool,
+    ) -> Self {
+        let keys = if enabled {
+            (0..n)
+                .map(|i| (key(i), if clean(i) { 0 } else { i as u64 + 1 }))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        SteadyState {
+            keys,
+            seen: HashMap::new(),
+        }
+    }
+
+    /// Call before rendering call `i` in carry-over state `rel` at time
+    /// `anchor`. When the pair was last seen `p` calls ago and the keys
+    /// repeat for `m ≥ 1` whole periods from here, replicates those
+    /// periods into `out` and returns `(m·p, m·Δ)`: the calls jumped
+    /// and the time shift. Otherwise remembers the pair and returns
+    /// `None`. Detection re-arms after every jump, so a sequence with
+    /// several periodic runs jumps several times.
+    pub(crate) fn jump(
+        &mut self,
+        i: usize,
+        rel: R,
+        anchor: SimTime,
+        out: &mut Render<'_, N>,
+    ) -> Option<(usize, u64)> {
+        let key = *self.keys.get(i)?;
+        if let Some(at) = self.seen.get(&(key, rel)).copied() {
+            let p = i - at.i0;
+            let m = self.verified_periods(at.i0, p, i);
+            if m >= 1 {
+                let delta_ns = anchor.0 - at.anchor.0;
+                out.repeat(&at, m, delta_ns);
+                self.seen.clear();
+                return Some((m as usize * p, m * delta_ns));
+            }
+        }
+        self.seen.insert((key, rel), out.mark(i, anchor));
+        None
+    }
+
+    /// Key-compares forward from call `j`: how many whole periods of
+    /// length `p` (the keys at `i0..i0+p`) repeat verbatim before the
+    /// sequence diverges or ends. Runs in O(verified calls) and fails at
+    /// the first mismatching key.
+    fn verified_periods(&self, i0: usize, p: usize, mut j: usize) -> u64 {
+        let keys = &self.keys;
+        let mut m = 0u64;
+        while j + p <= keys.len() && (0..p).all(|k| keys[j + k] == keys[i0 + k]) {
+            m += 1;
+            j += p;
+        }
+        m
+    }
 }
 
 /// Memoized derived event labels. Slow-path calls label their timeline
@@ -458,65 +648,39 @@ fn push_partial_fault_chain(
     )
 }
 
-/// Executes `calls` under **FRTR**: full reconfiguration before every call.
+/// Executes `calls` under **FRTR**: full reconfiguration before every
+/// call.
 ///
-/// Uses the steady-state fast path (see the module docs); the result is
-/// bit-identical to [`run_frtr_reference`].
+/// Every call's full reconfiguration runs `plan`'s attempt chain
+/// (retries with exponential backoff, then a drop once
+/// `max_full_attempts` is exhausted); a clean run passes
+/// [`FaultPlan::disarmed`], under which every call configures once.
+/// Uses the steady-state fast path (see the module docs), which jumps
+/// across fault-free stretches only; the result is bit-identical to
+/// [`run_frtr_reference`].
 ///
 /// Metrics go to `ctx.registry` ([`ExecCtx::default`] records nothing):
-/// call/config counters, a per-call latency histogram, and the
-/// timeline's per-lane busy gauges under the `sim.frtr` prefix.
+/// call/config counters, a per-call latency histogram, the timeline's
+/// per-lane busy gauges under the `sim.frtr` prefix, and — under an
+/// armed plan — the `sim.frtr.fault.*` recovery counters.
 ///
 /// # Errors
 ///
 /// Propagates vendor-API rejections (impossible for well-formed full
-/// bitstreams).
+/// bitstreams); injected faults are recovered internally and never
+/// escape.
 pub fn run_frtr(
     node: &NodeConfig,
     calls: &[TaskCall],
-    ctx: &ExecCtx,
-) -> Result<ExecutionReport, SimError> {
-    run_frtr_impl(node, calls, ctx, true, None)
-}
-
-/// [`run_frtr`] with a fault plan armed: every call's full
-/// reconfiguration runs the plan's attempt chain (retries with
-/// exponential backoff, then a drop once `max_full_attempts` is
-/// exhausted). A disarmed plan takes the exact fault-free code path.
-/// The steady-state fast path stays enabled and jumps across fault-free
-/// stretches only — a faulty call can never sit inside a proven period,
-/// so the result is bit-identical to [`run_frtr_faulty_reference`].
-///
-/// # Errors
-///
-/// As [`run_frtr`]; injected faults are recovered internally and never
-/// escape.
-pub fn run_frtr_faulty(
-    node: &NodeConfig,
-    calls: &[TaskCall],
     plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_frtr_impl(node, calls, ctx, true, Some(plan))
+    run_frtr_impl(node, calls, plan, ctx, true)
 }
 
-/// The per-call oracle for [`run_frtr_faulty`]: same recurrence and
-/// fault chains, no jumps.
-///
-/// # Errors
-///
-/// As [`run_frtr`].
-pub fn run_frtr_faulty_reference(
-    node: &NodeConfig,
-    calls: &[TaskCall],
-    plan: &FaultPlan,
-    ctx: &ExecCtx,
-) -> Result<ExecutionReport, SimError> {
-    run_frtr_impl(node, calls, ctx, false, Some(plan))
-}
-
-/// The per-call FRTR reference path: identical recurrence, no jumps.
-/// This is the oracle the fast path's equivalence tests compare against.
+/// The per-call FRTR reference path: identical recurrence and fault
+/// chains, no jumps. This is the oracle the fast path's equivalence
+/// tests compare against.
 ///
 /// # Errors
 ///
@@ -524,30 +688,35 @@ pub fn run_frtr_faulty_reference(
 pub fn run_frtr_reference(
     node: &NodeConfig,
     calls: &[TaskCall],
+    plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_frtr_impl(node, calls, ctx, false, None)
+    run_frtr_impl(node, calls, plan, ctx, false)
 }
 
 fn run_frtr_impl(
     node: &NodeConfig,
     calls: &[TaskCall],
+    plan: &FaultPlan,
     ctx: &ExecCtx,
     enable_jump: bool,
-    plan: Option<&FaultPlan>,
 ) -> Result<ExecutionReport, SimError> {
-    // Whole-run memo (see `crate::delta`): a disarmed plan takes the
-    // exact fault-free path, so it keys as `None`.
-    let plan_eff = plan.filter(|p| p.armed());
-    let memo_key = (enable_jump && ctx.delta.is_enabled())
-        .then(|| crate::delta::frtr_key(node, calls, plan_eff));
-    let replayable = memo_key.is_some() && crate::delta::replay_allowed(ctx);
-    if replayable {
-        if let Some(r) = crate::delta::fetch(&ctx.delta, memo_key.as_deref().unwrap()) {
-            ctx.delta.note_full_hit(calls.len() as u64);
-            return Ok((*r).clone());
-        }
-    }
+    let key = || crate::delta::frtr_key(node, calls, plan);
+    crate::delta::memoized(ctx, enable_jump, key, calls.len(), || {
+        frtr_render(node, calls, plan, ctx, enable_jump)
+    })
+}
+
+fn frtr_render(
+    node: &NodeConfig,
+    calls: &[TaskCall],
+    plan: &FaultPlan,
+    ctx: &ExecCtx,
+    enable_jump: bool,
+) -> Result<ExecutionReport, SimError> {
+    // Tallies: successful full configurations, dropped calls.
+    const CONFIGS: usize = 0;
+    const DROPPED: usize = 1;
 
     let registry = &ctx.registry;
     let _span = registry.span("sim.run_frtr");
@@ -555,320 +724,185 @@ fn run_frtr_impl(
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();
     let jrun = j.enter("sim.run_frtr", 0, tid_host);
-    let m_calls = registry.counter("sim.frtr.calls");
-    let m_configs = registry.counter("sim.frtr.full_configs");
-    let m_latency = registry.histogram("sim.frtr.call_latency_s");
 
     let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
     let full_bytes = node.full_config.full_bitstream_bytes;
-
-    // Armed fault plan: pre-derive every call's fate (a pure function
-    // of the plan). Disarmed plans take the exact fault-free path.
-    let plan = plan_eff;
-    let fates: Vec<CallFate> = plan
-        .map(|p| (0..calls.len()).map(|i| p.full_fate(i as u64)).collect())
-        .unwrap_or_default();
-    let fm = plan.map(|_| FaultMetrics::new(registry, "sim.frtr"));
     let t_frtr_clean_s = node.full_config.full_configuration_time_s();
 
-    // Keys carry a salt: 0 for fault-free fates, a unique per-index
-    // value for faulty ones — so a faulty call never key-matches and no
-    // proven period can span a fault. Jumps stay confined to clean
-    // stretches, where the recurrence is untouched.
-    let keys: Vec<(FrtrKey, u64)> = if enable_jump {
-        calls
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                let salt = match plan {
-                    Some(_) if !fates[i].is_clean() => i as u64 + 1,
-                    _ => 0,
-                };
-                (
-                    FrtrKey {
-                        name: c.name,
-                        bytes_in: c.bytes_in,
-                        bytes_out: c.bytes_out,
-                    },
-                    salt,
-                )
-            })
-            .collect()
+    // An armed plan pre-derives every call's fate (a pure function of
+    // the plan); under a disarmed one every fate is clean.
+    let fates: Vec<CallFate> = if plan.armed() {
+        (0..calls.len()).map(|i| plan.full_fate(i as u64)).collect()
     } else {
         Vec::new()
     };
-    let mut seen: HashMap<(FrtrKey, u64), SeenAt> = HashMap::new();
-    let mut n_dropped = 0u64;
+    let fate_of = |i: usize| fates.get(i).copied().unwrap_or_else(CallFate::clean_full);
+    let fm = plan
+        .armed()
+        .then(|| FaultMetrics::new(registry, "sim.frtr"));
 
+    let mut steady: SteadyState<FrtrKey, (), 2> = SteadyState::new(
+        enable_jump,
+        calls.len(),
+        |i| FrtrKey {
+            name: calls[i].name,
+            bytes_in: calls[i].bytes_in,
+            bytes_out: calls[i].bytes_out,
+        },
+        |i| fate_of(i).is_clean(),
+    );
+    let mut out = Render::<2>::new(ctx, "sim.frtr.call_latency_s", calls.len());
     let mut now = SimTime::ZERO;
-    let mut timeline = Timeline::default();
-    let mut labels = LabelCache::default();
-    let mut timings: Vec<CallTiming> = Vec::with_capacity(calls.len());
     // The vendor call's duration is a function of the node alone; keep
     // the last proven one for bulk accounting at a jump.
     let mut last_api_d = SimDuration::ZERO;
 
     let mut i = 0usize;
     while i < calls.len() {
-        if enable_jump {
-            if let Some(at) = seen.get(&keys[i]).copied() {
-                let p = i - at.i0;
-                let m = verified_periods(&keys, at.i0, p, i);
-                if m >= 1 {
-                    // Jump m whole periods: calls i .. i + m·p repeat the
-                    // proven block, each period shifted one more Δ.
-                    let delta = now.0 - at.anchor.0;
-                    let pattern = timeline.split_off_events(at.items_marker);
-                    timeline.push_repeat(pattern, m + 1, SimDuration(delta));
-                    let latencies: Vec<f64> = timings[at.timings_marker..]
-                        .iter()
-                        .map(|t| {
-                            (t.exec_end - t.config_start.expect("FRTR always configures"))
-                                .as_secs_f64()
-                        })
-                        .collect();
-                    let block = timings[at.timings_marker..].to_vec();
-                    for k in 1..=m {
-                        timings.extend(block.iter().map(|t| t.shifted(k * delta)));
-                    }
-                    let jumped = m * p as u64;
-                    m_calls.add(jumped);
-                    m_configs.add(jumped);
-                    m_latency.record_cycle(&latencies, m);
-                    node.full_config.record_repeated(last_api_d, jumped, ctx);
-                    j.replay_cycle(at.jmark, m, delta);
-                    now = SimTime(now.0 + m * delta);
-                    i += m as usize * p;
-                    // Re-arm: the tail may hold further periodic runs.
-                    seen.clear();
-                    continue;
-                }
-            }
-            seen.insert(
-                keys[i],
-                SeenAt {
-                    i0: i,
-                    anchor: now,
-                    items_marker: timeline.n_items(),
-                    timings_marker: timings.len(),
-                    jmark: j.mark(),
-                },
-            );
+        if let Some((jumped, shift)) = steady.jump(i, (), now, &mut out) {
+            node.full_config
+                .record_repeated(last_api_d, jumped as u64, ctx);
+            now = SimTime(now.0 + shift);
+            i += jumped;
+            continue;
         }
 
         let call = &calls[i];
-
-        // Faulty call: lay out its recovery chain instead of the plain
-        // configure. Clean-fated calls fall through to the unchanged
-        // fault-free body (and stay jumpable).
-        if let Some(p) = plan {
-            let fate = fates[i];
-            if !fate.is_clean() {
-                let cs = now;
-                let jcall = j.open(call.name.as_str(), jrun, cs.0, tid_host);
-                let mut jchain: PendingLink = None;
-                let ce = push_full_attempts(
-                    node,
-                    &mut timeline,
-                    &mut labels,
-                    p,
-                    &fate,
-                    i as u64,
-                    call.name,
-                    cs,
-                    ctx,
-                    jcall,
-                    &mut jchain,
-                )?;
-                if let Some(fm) = &fm {
-                    fm.record(&fate, (ce - cs).as_secs_f64() - t_frtr_clean_s);
-                }
-                m_calls.inc();
-                if fate.dropped {
-                    n_dropped += 1;
-                    timings.push(CallTiming {
-                        name: call.name,
-                        hit: false,
-                        config_start: Some(cs),
-                        config_end: Some(ce),
-                        exec_start: ce,
-                        exec_end: ce,
-                    });
-                    m_latency.record((ce - cs).as_secs_f64());
-                    j.close(jcall, ce.0);
-                    now = ce;
-                } else {
-                    m_configs.inc();
-                    let control_end = ce + t_control;
-                    timeline.push(
-                        Lane::Host,
-                        EventKind::Control,
-                        labels.get(L_CTL, call.name, 0),
-                        ce,
-                        control_end,
-                    );
-                    let exec_start = control_end;
-                    let exec_end = exec_start + SimDuration::from_secs_f64(call.task_time_s(node));
-                    push_exec_events(
-                        &mut timeline,
-                        &mut labels,
-                        node,
-                        call,
-                        0,
-                        exec_start,
-                        exec_end,
-                    );
-                    let jexec = j.event("execute", jcall, exec_start.0, Lane::Prr(0).chrome_tid());
-                    j.flow(jchain.map(|(id, _)| id), jexec, "activate");
-                    timings.push(CallTiming {
-                        name: call.name,
-                        hit: false,
-                        config_start: Some(cs),
-                        config_end: Some(ce),
-                        exec_start,
-                        exec_end,
-                    });
-                    m_latency.record((exec_end - cs).as_secs_f64());
-                    j.close(jcall, exec_end.0);
-                    now = exec_end;
-                }
-                i += 1;
-                continue;
+        let fate = fate_of(i);
+        let cs = now;
+        let jcall = j.open(call.name.as_str(), jrun, cs.0, tid_host);
+        // Configure: one vendor-API call, or the plan's attempt chain.
+        // Only this step tells a clean call from a faulted one.
+        let (ce, jcfg) = if fate.is_clean() {
+            // A full bitstream resets the device, so DONE is irrelevant.
+            let d = node.full_config.configure(full_bytes, false, false, ctx)?;
+            last_api_d = d;
+            let jcfg = j.event("configure", jcall, cs.0, tid_cfg);
+            out.timeline.push(
+                Lane::ConfigPort,
+                EventKind::FullConfig,
+                out.labels.get(L_FULL, call.name, 0),
+                cs,
+                cs + d,
+            );
+            (cs + d, jcfg)
+        } else {
+            let mut jchain: PendingLink = None;
+            let ce = push_full_attempts(
+                node,
+                &mut out.timeline,
+                &mut out.labels,
+                plan,
+                &fate,
+                i as u64,
+                call.name,
+                cs,
+                ctx,
+                jcall,
+                &mut jchain,
+            )?;
+            if let Some(fm) = &fm {
+                fm.record(&fate, (ce - cs).as_secs_f64() - t_frtr_clean_s);
             }
-        }
+            (ce, jchain.map(|(id, _)| id))
+        };
 
-        let config_start = now;
-        // A full bitstream resets the device, so DONE is irrelevant here.
-        let d = node.full_config.configure(full_bytes, false, false, ctx)?;
-        last_api_d = d;
-        let config_end = config_start + d;
-        let jcall = j.open(call.name.as_str(), jrun, config_start.0, tid_host);
-        let jcfg = j.event("configure", jcall, config_start.0, tid_cfg);
-        timeline.push(
-            Lane::ConfigPort,
-            EventKind::FullConfig,
-            labels.get(L_FULL, call.name, 0),
-            config_start,
-            config_end,
-        );
-        let control_end = config_end + t_control;
-        timeline.push(
-            Lane::Host,
-            EventKind::Control,
-            labels.get(L_CTL, call.name, 0),
-            config_end,
-            control_end,
-        );
-        let exec_start = control_end;
-        let exec_end = exec_start + SimDuration::from_secs_f64(call.task_time_s(node));
-        push_exec_events(
-            &mut timeline,
-            &mut labels,
-            node,
-            call,
-            0,
-            exec_start,
-            exec_end,
-        );
-        let jexec = j.event("execute", jcall, exec_start.0, Lane::Prr(0).chrome_tid());
-        j.flow(jcfg, jexec, "activate");
+        let (exec_start, exec_end) = if fate.dropped {
+            // The call never ran: zero-length execution window at the
+            // chain's end, no control transfer, no data.
+            out.tally[DROPPED] += 1;
+            (ce, ce)
+        } else {
+            out.tally[CONFIGS] += 1;
+            let control_end = ce + t_control;
+            out.timeline.push(
+                Lane::Host,
+                EventKind::Control,
+                out.labels.get(L_CTL, call.name, 0),
+                ce,
+                control_end,
+            );
+            let exec_end = control_end + SimDuration::from_secs_f64(call.task_time_s(node));
+            push_exec_events(
+                &mut out.timeline,
+                &mut out.labels,
+                node,
+                call,
+                0,
+                control_end,
+                exec_end,
+            );
+            let jexec = j.event("execute", jcall, control_end.0, Lane::Prr(0).chrome_tid());
+            j.flow(jcfg, jexec, "activate");
+            (control_end, exec_end)
+        };
         j.close(jcall, exec_end.0);
-        timings.push(CallTiming {
+        out.push_timing(CallTiming {
             name: call.name,
             hit: false,
-            config_start: Some(config_start),
-            config_end: Some(config_end),
+            config_start: Some(cs),
+            config_end: Some(ce),
             exec_start,
             exec_end,
         });
-        m_calls.inc();
-        m_configs.inc();
-        m_latency.record((exec_end - config_start).as_secs_f64());
         now = exec_end;
         i += 1;
     }
     j.exit(jrun, now.0);
-    timeline.record_metrics(registry, "sim.frtr");
-    let report = ExecutionReport {
-        total: now - SimTime::ZERO,
-        n_config: calls.len() as u64 - n_dropped,
-        calls: timings,
-        timeline,
+    publish(
+        registry,
+        &[
+            ("sim.frtr.calls", calls.len() as u64),
+            ("sim.frtr.full_configs", out.tally[CONFIGS]),
+        ],
+    );
+    let (n_config, n_dropped) = (out.tally[CONFIGS], out.tally[DROPPED]);
+    Ok(out.into_report(
+        registry,
+        "sim.frtr",
+        now - SimTime::ZERO,
+        n_config,
         n_dropped,
-    };
-    if let Some(key) = memo_key {
-        crate::delta::store(&ctx.delta, key, &report);
-        if replayable {
-            ctx.delta.note_miss(calls.len() as u64);
-        }
-    }
-    Ok(report)
+    ))
 }
 
 /// Executes `calls` under **PRTR** with the per-call hit/miss outcomes and
 /// slot assignments supplied by a configuration-caching simulation.
 ///
-/// Uses the steady-state fast path (see the module docs); the result is
-/// bit-identical to [`run_prtr_reference`].
+/// Every miss runs `plan`'s partial-attempt chain — bounded retries with
+/// exponential backoff (plus a bitstream re-fetch after a CRC mismatch),
+/// escalation to full reconfiguration after `max_partial_attempts`
+/// failures, blacklisting of repeatedly escalating PRRs (via a
+/// [`FaultState`] that replays in lockstep with the scheduler's), and a
+/// drop once every attempt is exhausted. A clean run passes
+/// [`FaultPlan::disarmed`], under which every miss configures once.
+/// Uses the steady-state fast path (see the module docs), which jumps
+/// across fault-free stretches only; the result is bit-identical to
+/// [`run_prtr_reference`].
 ///
 /// Metrics go to `ctx.registry` ([`ExecCtx::default`] records nothing):
 /// hit/miss/config counters, a per-call latency histogram, ICAP transfer
-/// accounting, and the timeline's per-lane busy gauges under the
-/// `sim.prtr` prefix.
+/// accounting, the timeline's per-lane busy gauges under the `sim.prtr`
+/// prefix, and — under an armed plan — the `sim.prtr.fault.*` recovery
+/// counters.
 ///
 /// # Errors
 ///
 /// [`SimError::InvalidRun`] when a slot index exceeds the node's PRR count
-/// or the call list is empty.
+/// or the call list is empty; injected faults are recovered internally
+/// and never escape.
 pub fn run_prtr(
     node: &NodeConfig,
     calls: &[PrtrCall],
-    ctx: &ExecCtx,
-) -> Result<ExecutionReport, SimError> {
-    run_prtr_impl(node, calls, ctx, true, None)
-}
-
-/// [`run_prtr`] with a fault plan armed: every miss runs the plan's
-/// partial-attempt chain — bounded retries with exponential backoff
-/// (plus a bitstream re-fetch after a CRC mismatch), escalation to full
-/// reconfiguration after `max_partial_attempts` failures, blacklisting
-/// of repeatedly escalating PRRs (via a [`FaultState`] that replays in
-/// lockstep with the scheduler's), and a drop once every attempt is
-/// exhausted. A disarmed plan takes the exact fault-free code path.
-/// The steady-state fast path stays enabled and jumps across fault-free
-/// stretches only, so the result is bit-identical to
-/// [`run_prtr_faulty_reference`].
-///
-/// # Errors
-///
-/// As [`run_prtr`]; injected faults are recovered internally and never
-/// escape.
-pub fn run_prtr_faulty(
-    node: &NodeConfig,
-    calls: &[PrtrCall],
     plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_prtr_impl(node, calls, ctx, true, Some(plan))
+    run_prtr_impl(node, calls, plan, ctx, true)
 }
 
-/// The per-call oracle for [`run_prtr_faulty`]: same recurrence and
-/// fault chains, no jumps.
-///
-/// # Errors
-///
-/// As [`run_prtr`].
-pub fn run_prtr_faulty_reference(
-    node: &NodeConfig,
-    calls: &[PrtrCall],
-    plan: &FaultPlan,
-    ctx: &ExecCtx,
-) -> Result<ExecutionReport, SimError> {
-    run_prtr_impl(node, calls, ctx, false, Some(plan))
-}
-
-/// The per-call PRTR reference path: identical recurrence, no jumps.
-/// This is the oracle the fast path's equivalence tests compare against.
+/// The per-call PRTR reference path: identical recurrence and fault
+/// chains, no jumps. This is the oracle the fast path's equivalence
+/// tests compare against.
 ///
 /// # Errors
 ///
@@ -876,19 +910,19 @@ pub fn run_prtr_faulty_reference(
 pub fn run_prtr_reference(
     node: &NodeConfig,
     calls: &[PrtrCall],
+    plan: &FaultPlan,
     ctx: &ExecCtx,
 ) -> Result<ExecutionReport, SimError> {
-    run_prtr_impl(node, calls, ctx, false, None)
+    run_prtr_impl(node, calls, plan, ctx, false)
 }
 
 fn run_prtr_impl(
     node: &NodeConfig,
     calls: &[PrtrCall],
+    plan: &FaultPlan,
     ctx: &ExecCtx,
     enable_jump: bool,
-    plan: Option<&FaultPlan>,
 ) -> Result<ExecutionReport, SimError> {
-    let registry = &ctx.registry;
     if calls.is_empty() {
         return Err(SimError::InvalidRun("empty call sequence".into()));
     }
@@ -898,95 +932,84 @@ fn run_prtr_impl(
             bad.slot, node.n_prrs
         )));
     }
+    let key = || crate::delta::prtr_key(node, calls, plan);
+    crate::delta::memoized(ctx, enable_jump, key, calls.len(), || {
+        prtr_render(node, calls, plan, ctx, enable_jump)
+    })
+}
 
-    // Whole-run memo (see `crate::delta`): a disarmed plan takes the
-    // exact fault-free path, so it keys as `None`.
-    let plan_eff = plan.filter(|p| p.armed());
-    let memo_key = (enable_jump && ctx.delta.is_enabled())
-        .then(|| crate::delta::prtr_key(node, calls, plan_eff));
-    let replayable = memo_key.is_some() && crate::delta::replay_allowed(ctx);
-    if replayable {
-        if let Some(r) = crate::delta::fetch(&ctx.delta, memo_key.as_deref().unwrap()) {
-            ctx.delta.note_full_hit(calls.len() as u64);
-            return Ok((*r).clone());
-        }
-    }
+fn prtr_render(
+    node: &NodeConfig,
+    calls: &[PrtrCall],
+    plan: &FaultPlan,
+    ctx: &ExecCtx,
+    enable_jump: bool,
+) -> Result<ExecutionReport, SimError> {
+    // Tallies: hits, clean partial configurations (the
+    // `partial_configs` counter also counts recovered partial chains),
+    // ICAP transfers, successful configurations, dropped calls.
+    const HITS: usize = 0;
+    const PARTIAL: usize = 1;
+    const ICAP: usize = 2;
+    const CONFIGS: usize = 3;
+    const DROPPED: usize = 4;
 
+    let registry = &ctx.registry;
     let _span = registry.span("sim.run_prtr");
     let j = &ctx.journal;
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();
     let jrun = j.enter("sim.run_prtr", 0, tid_host);
-    let m_calls = registry.counter("sim.prtr.calls");
-    let m_hits = registry.counter("sim.prtr.hits");
-    let m_misses = registry.counter("sim.prtr.misses");
-    let m_configs = registry.counter("sim.prtr.partial_configs");
-    let m_latency = registry.histogram("sim.prtr.call_latency_s");
-    let m_icap_transfers = registry.counter("sim.icap.transfers");
-    let m_icap_bytes = registry.counter("sim.icap.bytes");
 
     let t_decision = SimDuration::from_secs_f64(node.decision_latency_s);
     let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
     let t_prtr = node.icap.transfer_duration(node.prr_bitstream_bytes);
 
-    // Armed fault plan: replay the recovery state over the miss stream
-    // to pre-derive every call's fate. The scheduler that produced
-    // `calls` ran the identical [`FaultState`] over the identical
+    // An armed plan replays the recovery state over the miss stream to
+    // pre-derive every call's fate. The scheduler that produced `calls`
+    // ran the identical [`FaultState`] over the identical
     // `(call index, slot)` stream, so escalations and blacklisting stay
-    // in lockstep without any fate passing. Disarmed plans take the
-    // exact fault-free path.
-    let plan = plan_eff;
-    let fates: Vec<CallFate> = plan
-        .map(|p| {
-            let mut state = FaultState::new(*p, node.n_prrs);
-            calls
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if c.hit {
-                        CallFate::clean_partial()
-                    } else {
-                        state.on_miss(i as u64, c.slot)
-                    }
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let fm = plan.map(|_| FaultMetrics::new(registry, "sim.prtr"));
-
-    // Salted keys confine steady-state jumps to fault-free stretches
-    // (see `run_frtr_impl`).
-    let keys: Vec<(PrtrKey, u64)> = if enable_jump {
+    // in lockstep without any fate passing. Under a disarmed plan every
+    // fate is clean.
+    let fates: Vec<CallFate> = if plan.armed() {
+        let mut state = FaultState::new(*plan, node.n_prrs);
         calls
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let salt = match plan {
-                    Some(_) if !fates[i].is_clean() => i as u64 + 1,
-                    _ => 0,
-                };
-                (
-                    PrtrKey {
-                        name: c.task.name,
-                        bytes_in: c.task.bytes_in,
-                        bytes_out: c.task.bytes_out,
-                        hit: c.hit,
-                        slot: c.slot,
-                    },
-                    salt,
-                )
+                if c.hit {
+                    CallFate::clean_partial()
+                } else {
+                    state.on_miss(i as u64, c.slot)
+                }
             })
             .collect()
     } else {
         Vec::new()
     };
-    let mut seen: HashMap<((PrtrKey, u64), RelState), SeenAt> = HashMap::new();
-    let mut n_dropped = 0u64;
+    let fate_of = |i: usize| {
+        fates
+            .get(i)
+            .copied()
+            .unwrap_or_else(CallFate::clean_partial)
+    };
+    let fm = plan
+        .armed()
+        .then(|| FaultMetrics::new(registry, "sim.prtr"));
 
-    let mut timeline = Timeline::default();
-    let mut labels = LabelCache::default();
-    let mut timings: Vec<CallTiming> = Vec::with_capacity(calls.len());
-    let mut n_config = 0u64;
+    let mut steady: SteadyState<PrtrKey, RelState, 5> = SteadyState::new(
+        enable_jump,
+        calls.len(),
+        |i| PrtrKey {
+            name: calls[i].task.name,
+            bytes_in: calls[i].task.bytes_in,
+            bytes_out: calls[i].task.bytes_out,
+            hit: calls[i].hit,
+            slot: calls[i].slot,
+        },
+        |i| fate_of(i).is_clean(),
+    );
+    let mut out = Render::<5>::new(ctx, "sim.prtr.call_latency_s", calls.len());
     let mut icap_free = SimTime::ZERO;
     // Execution window of the previous call.
     let mut prev: Option<(SimTime, SimTime, u64)> = None; // (exec_start, exec_end, bytes_in)
@@ -995,355 +1018,179 @@ fn run_prtr_impl(
     while i < calls.len() {
         // The recurrence's carry-over state is relative to prev_start
         // (cold calls carry no state and never participate).
-        if enable_jump {
-            if let Some((prev_start, prev_end, prev_bytes_in)) = prev {
-                let rel = RelState {
-                    exec_ns: (prev_end - prev_start).0,
-                    icap_ns: (icap_free.max(prev_start) - prev_start).0,
+        if let Some((prev_start, prev_end, prev_bytes_in)) = prev {
+            let rel = RelState {
+                exec_ns: (prev_end - prev_start).0,
+                icap_ns: (icap_free.max(prev_start) - prev_start).0,
+                prev_bytes_in,
+            };
+            if let Some((jumped, shift)) = steady.jump(i, rel, prev_start, &mut out) {
+                prev = Some((
+                    SimTime(prev_start.0 + shift),
+                    SimTime(prev_end.0 + shift),
                     prev_bytes_in,
-                };
-                if let Some(at) = seen.get(&(keys[i], rel)).copied() {
-                    let p = i - at.i0;
-                    let m = verified_periods(&keys, at.i0, p, i);
-                    if m >= 1 {
-                        let delta = prev_start.0 - at.anchor.0;
-                        let pattern = timeline.split_off_events(at.items_marker);
-                        timeline.push_repeat(pattern, m + 1, SimDuration(delta));
-                        // The block's per-call marginal latencies are
-                        // shift-invariant; its first call's predecessor is
-                        // timings[marker - 1] (i0 ≥ 1 always holds here).
-                        let latencies: Vec<f64> = (at.timings_marker..timings.len())
-                            .map(|t| (timings[t].exec_end - timings[t - 1].exec_end).as_secs_f64())
-                            .collect();
-                        let block = timings[at.timings_marker..].to_vec();
-                        let block_hits = calls[at.i0..i].iter().filter(|c| c.hit).count() as u64;
-                        let block_cfgs =
-                            block.iter().filter(|t| t.config_start.is_some()).count() as u64;
-                        for k in 1..=m {
-                            timings.extend(block.iter().map(|t| t.shifted(k * delta)));
-                        }
-                        let jumped = m * p as u64;
-                        m_calls.add(jumped);
-                        m_hits.add(m * block_hits);
-                        m_misses.add(m * (p as u64 - block_hits));
-                        m_configs.add(m * block_cfgs);
-                        m_icap_transfers.add(m * block_cfgs);
-                        m_icap_bytes.add(m * block_cfgs * node.prr_bitstream_bytes);
-                        m_latency.record_cycle(&latencies, m);
-                        n_config += m * block_cfgs;
-                        j.replay_cycle(at.jmark, m, delta);
-                        let shift = m * delta;
-                        prev = Some((
-                            SimTime(prev_start.0 + shift),
-                            SimTime(prev_end.0 + shift),
-                            prev_bytes_in,
-                        ));
-                        icap_free = SimTime(icap_free.max(prev_start).0 + shift);
-                        i += m as usize * p;
-                        seen.clear();
-                        continue;
-                    }
-                }
-                seen.insert(
-                    (keys[i], rel),
-                    SeenAt {
-                        i0: i,
-                        anchor: prev_start,
-                        items_marker: timeline.n_items(),
-                        timings_marker: timings.len(),
-                        jmark: j.mark(),
-                    },
-                );
+                ));
+                icap_free = SimTime(icap_free.max(prev_start).0 + shift);
+                i += jumped;
+                continue;
             }
         }
 
         let call = &calls[i];
+        let name = call.task.name;
+        let fate = fate_of(i);
+        // A hit's decision overlaps the previous execution; a miss's
+        // runs after it completes (a cold call's, at t = 0). The
+        // journal's call span opens there (it is the call's first
+        // action).
+        let decision_start = match (call.hit, prev) {
+            (_, None) => SimTime::ZERO,
+            (true, Some((prev_start, _, _))) => prev_start,
+            (false, Some((_, prev_end, _))) => prev_end,
+        };
+        let decision_end = decision_start + t_decision;
+        let jcall = j.open(name.as_str(), jrun, decision_start.0, tid_host);
+        let jdec = j.event("decide", jcall, decision_start.0, tid_host);
+        out.timeline.push(
+            Lane::Host,
+            EventKind::Decision,
+            out.labels.get(L_DEC, name, 0),
+            decision_start,
+            decision_end,
+        );
 
-        // Faulty miss: decision timing mirrors the fault-free miss
-        // arms, then the recovery chain replaces the single partial
-        // transfer. Clean-fated calls (all hits included) fall through
-        // to the unchanged fault-free body and stay jumpable.
-        if let Some(p) = plan {
-            let fate = fates[i];
-            if !fate.is_clean() {
-                let decision_start = prev.map_or(SimTime::ZERO, |(_, pe, _)| pe);
-                let decision_end = decision_start + t_decision;
-                let jcall = j.open(call.task.name.as_str(), jrun, decision_start.0, tid_host);
-                let jdec = j.event("decide", jcall, decision_start.0, tid_host);
-                let mut jchain: PendingLink = jdec.map(|d| (d, "hide"));
-                timeline.push(
-                    Lane::Host,
-                    EventKind::Decision,
-                    labels.get(L_DEC, call.task.name, 0),
-                    decision_start,
-                    decision_end,
+        let (config, ready, (jfrom, jkind)) = if call.hit {
+            out.tally[HITS] += 1;
+            let ready = prev.map_or(decision_end, |(_, prev_end, _)| prev_end.max(decision_end));
+            (None, ready, (jdec, "hit"))
+        } else {
+            // The configuration streams while the previous task runs
+            // (a cold call's, after its decision) — equation (3)'s
+            // max(T_task + T_decision, T_PRTR) term.
+            let earliest = match prev {
+                None => decision_end,
+                Some((prev_start, _, prev_bytes_in)) if node.config_waits_for_data_input => {
+                    prev_start + node.data_in_duration(prev_bytes_in)
+                }
+                Some((prev_start, _, _)) => prev_start,
+            };
+            let cs = earliest.max(icap_free);
+            // Configure: one ICAP transfer, or the plan's recovery
+            // chain. Only this step tells a clean call from a faulted
+            // one.
+            let (ce, jcfg) = if fate.is_clean() {
+                let jcfg = j.event("configure", jcall, cs.0, tid_cfg);
+                j.flow(jdec, jcfg, "hide");
+                out.timeline.push(
+                    Lane::ConfigPort,
+                    EventKind::PartialConfig,
+                    out.labels.get(L_CFG, name, call.slot),
+                    cs,
+                    cs + t_prtr,
                 );
-                let earliest = match prev {
-                    None => decision_end,
-                    Some((prev_start, _, prev_bytes_in)) => {
-                        if node.config_waits_for_data_input {
-                            prev_start + node.data_in_duration(prev_bytes_in)
-                        } else {
-                            prev_start
-                        }
-                    }
-                };
-                let cs = earliest.max(icap_free);
+                out.tally[PARTIAL] += 1;
+                out.tally[ICAP] += 1;
+                out.tally[CONFIGS] += 1;
+                (cs + t_prtr, jcfg)
+            } else {
+                let mut jchain: PendingLink = jdec.map(|d| (d, "hide"));
                 let ce = push_partial_fault_chain(
                     node,
-                    &mut timeline,
-                    &mut labels,
-                    p,
+                    &mut out.timeline,
+                    &mut out.labels,
+                    plan,
                     &fate,
                     i as u64,
-                    call.task.name,
+                    name,
                     call.slot,
                     cs,
                     ctx,
                     jcall,
                     &mut jchain,
                 )?;
-                icap_free = ce;
                 if let Some(fm) = &fm {
                     fm.record(&fate, (ce - cs).as_secs_f64() - t_prtr.as_secs_f64());
                 }
-                let ready = decision_end.max(ce);
-                m_calls.inc();
-                m_misses.inc();
-                if !fate.dropped {
-                    n_config += 1;
-                    if !(fate.escalated || fate.forced_full) {
-                        m_configs.inc();
-                    }
-                } else {
-                    n_dropped += 1;
-                }
-                let prev_end_t = prev.map_or(SimTime::ZERO, |(_, end, _)| end);
                 if fate.dropped {
-                    // The call never ran: zero-length execution window
-                    // at its ready point, no control transfer, no data.
-                    timings.push(CallTiming {
-                        name: call.task.name,
-                        hit: false,
-                        config_start: Some(cs),
-                        config_end: Some(ce),
-                        exec_start: ready,
-                        exec_end: ready,
-                    });
-                    m_latency.record((ready - prev_end_t).as_secs_f64());
-                    j.close(jcall, ready.0);
-                    prev = Some((ready, ready, 0));
+                    out.tally[DROPPED] += 1;
                 } else {
-                    let control_end = ready + t_control;
-                    timeline.push(
-                        Lane::Host,
-                        EventKind::Control,
-                        labels.get(L_CTL, call.task.name, 0),
-                        ready,
-                        control_end,
-                    );
-                    let exec_start = control_end;
-                    let exec_end =
-                        exec_start + SimDuration::from_secs_f64(call.task.task_time_s(node));
-                    push_exec_events(
-                        &mut timeline,
-                        &mut labels,
-                        node,
-                        &call.task,
-                        call.slot,
-                        exec_start,
-                        exec_end,
-                    );
-                    let jexec = j.event(
-                        "execute",
-                        jcall,
-                        exec_start.0,
-                        Lane::Prr(call.slot).chrome_tid(),
-                    );
-                    j.flow(jchain.map(|(id, _)| id), jexec, "activate");
-                    timings.push(CallTiming {
-                        name: call.task.name,
-                        hit: false,
-                        config_start: Some(cs),
-                        config_end: Some(ce),
-                        exec_start,
-                        exec_end,
-                    });
-                    m_latency.record((exec_end - prev_end_t).as_secs_f64());
-                    j.close(jcall, exec_end.0);
-                    prev = Some((exec_start, exec_end, call.task.bytes_in));
+                    out.tally[CONFIGS] += 1;
+                    out.tally[PARTIAL] += !(fate.escalated || fate.forced_full) as u64;
                 }
-                i += 1;
-                continue;
-            }
-        }
-
-        // The decision's start anchor is arm-dependent; the journal's
-        // call span opens there (it is the call's first action).
-        let decision_anchor = match (call.hit, prev) {
-            (_, None) => SimTime::ZERO,
-            (true, Some((prev_start, _, _))) => prev_start,
-            (false, Some((_, prev_end, _))) => prev_end,
-        };
-        let jcall = j.open(call.task.name.as_str(), jrun, decision_anchor.0, tid_host);
-        let jdec = j.event("decide", jcall, decision_anchor.0, tid_host);
-
-        let (config_start, config_end, ready) = match (call.hit, prev) {
-            // Cold start (first call): decision, then configuration (on a
-            // miss), strictly serial — nothing exists to overlap with.
-            (hit, None) => {
-                let decision_end = SimTime::ZERO + t_decision;
-                timeline.push(
-                    Lane::Host,
-                    EventKind::Decision,
-                    labels.get(L_DEC, call.task.name, 0),
-                    SimTime::ZERO,
-                    decision_end,
-                );
-                if hit {
-                    (None, None, decision_end)
-                } else {
-                    let cs = decision_end.max(icap_free);
-                    let ce = cs + t_prtr;
-                    icap_free = ce;
-                    n_config += 1;
-                    (Some(cs), Some(ce), ce)
-                }
-            }
-            // Hit: the decision overlaps the previous execution.
-            (true, Some((prev_start, prev_end, _))) => {
-                let decision_end = prev_start + t_decision;
-                timeline.push(
-                    Lane::Host,
-                    EventKind::Decision,
-                    labels.get(L_DEC, call.task.name, 0),
-                    prev_start,
-                    decision_end,
-                );
-                (None, None, prev_end.max(decision_end))
-            }
-            // Miss: the configuration streams while the previous task runs;
-            // the decision check runs after it completes (equation (3)'s
-            // max(T_task + T_decision, T_PRTR) term).
-            (false, Some((prev_start, prev_end, prev_bytes_in))) => {
-                let decision_end = prev_end + t_decision;
-                timeline.push(
-                    Lane::Host,
-                    EventKind::Decision,
-                    labels.get(L_DEC, call.task.name, 0),
-                    prev_end,
-                    decision_end,
-                );
-                let earliest = if node.config_waits_for_data_input {
-                    prev_start + node.data_in_duration(prev_bytes_in)
-                } else {
-                    prev_start
-                };
-                let cs = earliest.max(icap_free);
-                let ce = cs + t_prtr;
-                icap_free = ce;
-                n_config += 1;
-                (Some(cs), Some(ce), decision_end.max(ce))
-            }
+                (ce, jchain.map(|(id, _)| id))
+            };
+            icap_free = ce;
+            (Some((cs, ce)), decision_end.max(ce), (jcfg, "activate"))
         };
 
-        let jcfg = match config_start {
-            Some(cs) => {
-                let c = j.event("configure", jcall, cs.0, tid_cfg);
-                j.flow(jdec, c, "hide");
-                c
-            }
-            None => None,
-        };
-        if let (Some(cs), Some(ce)) = (config_start, config_end) {
-            timeline.push(
-                Lane::ConfigPort,
-                EventKind::PartialConfig,
-                labels.get(L_CFG, call.task.name, call.slot),
-                cs,
-                ce,
-            );
-        }
-
-        let control_end = ready + t_control;
-        timeline.push(
-            Lane::Host,
-            EventKind::Control,
-            labels.get(L_CTL, call.task.name, 0),
-            ready,
-            control_end,
-        );
-        let exec_start = control_end;
-        let exec_end = exec_start + SimDuration::from_secs_f64(call.task.task_time_s(node));
-        push_exec_events(
-            &mut timeline,
-            &mut labels,
-            node,
-            &call.task,
-            call.slot,
-            exec_start,
-            exec_end,
-        );
-        let jexec = j.event(
-            "execute",
-            jcall,
-            exec_start.0,
-            Lane::Prr(call.slot).chrome_tid(),
-        );
-        if jcfg.is_some() {
-            j.flow(jcfg, jexec, "activate");
+        let (exec_start, exec_end) = if fate.dropped {
+            // The call never ran: zero-length execution window at its
+            // ready point, no control transfer, no data.
+            (ready, ready)
         } else {
-            j.flow(jdec, jexec, "hit");
-        }
+            let control_end = ready + t_control;
+            out.timeline.push(
+                Lane::Host,
+                EventKind::Control,
+                out.labels.get(L_CTL, name, 0),
+                ready,
+                control_end,
+            );
+            let exec_end = control_end + SimDuration::from_secs_f64(call.task.task_time_s(node));
+            push_exec_events(
+                &mut out.timeline,
+                &mut out.labels,
+                node,
+                &call.task,
+                call.slot,
+                control_end,
+                exec_end,
+            );
+            let jexec = j.event(
+                "execute",
+                jcall,
+                control_end.0,
+                Lane::Prr(call.slot).chrome_tid(),
+            );
+            j.flow(jfrom, jexec, jkind);
+            (control_end, exec_end)
+        };
         j.close(jcall, exec_end.0);
-
-        timings.push(CallTiming {
-            name: call.task.name,
+        out.push_timing(CallTiming {
+            name,
             hit: call.hit,
-            config_start,
-            config_end,
+            config_start: config.map(|(cs, _)| cs),
+            config_end: config.map(|(_, ce)| ce),
             exec_start,
             exec_end,
         });
-
-        m_calls.inc();
-        if call.hit {
-            m_hits.inc();
-        } else {
-            m_misses.inc();
-        }
-        if config_start.is_some() {
-            m_configs.inc();
-            m_icap_transfers.inc();
-            m_icap_bytes.add(node.prr_bitstream_bytes);
-        }
-        // Marginal wall-clock cost of this call — in steady state this
-        // is the model's per-call increment, e.g.
-        // max(T_task + T_decision, T_PRTR) + T_control on a miss.
-        let prev_end = prev.map_or(SimTime::ZERO, |(_, end, _)| end);
-        m_latency.record((exec_end - prev_end).as_secs_f64());
-
-        prev = Some((exec_start, exec_end, call.task.bytes_in));
+        let bytes_in = if fate.dropped { 0 } else { call.task.bytes_in };
+        prev = Some((exec_start, exec_end, bytes_in));
         i += 1;
     }
 
-    let total = timings.last().expect("non-empty").exec_end - SimTime::ZERO;
-    j.exit(jrun, timings.last().expect("non-empty").exec_end.0);
-    timeline.record_metrics(registry, "sim.prtr");
-    let report = ExecutionReport {
-        total,
-        calls: timings,
-        timeline,
+    let end = out.timings.last().expect("non-empty").exec_end;
+    j.exit(jrun, end.0);
+    let n = calls.len() as u64;
+    publish(
+        registry,
+        &[
+            ("sim.prtr.calls", n),
+            ("sim.prtr.hits", out.tally[HITS]),
+            ("sim.prtr.misses", n - out.tally[HITS]),
+            ("sim.prtr.partial_configs", out.tally[PARTIAL]),
+            ("sim.icap.transfers", out.tally[ICAP]),
+            ("sim.icap.bytes", out.tally[ICAP] * node.prr_bitstream_bytes),
+        ],
+    );
+    let (n_config, n_dropped) = (out.tally[CONFIGS], out.tally[DROPPED]);
+    Ok(out.into_report(
+        registry,
+        "sim.prtr",
+        end - SimTime::ZERO,
         n_config,
         n_dropped,
-    };
-    if let Some(key) = memo_key {
-        crate::delta::store(&ctx.delta, key, &report);
-        if replayable {
-            ctx.delta.note_miss(calls.len() as u64);
-        }
-    }
-    Ok(report)
+    ))
 }
 
 /// Records the execution window plus its streaming data transfers.
@@ -1419,7 +1266,7 @@ mod tests {
         let calls: Vec<TaskCall> = (0..n)
             .map(|i| TaskCall::with_task_time(format!("t{i}"), &node, t_task))
             .collect();
-        let report = run_frtr(&node, &calls, &dctx()).unwrap();
+        let report = run_frtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         let t_task_actual = calls[0].task_time_s(&node);
         let expected = n as f64 * (node.t_frtr_s() + node.control_overhead_s + t_task_actual);
         assert!(
@@ -1437,7 +1284,7 @@ mod tests {
         let node = node();
         let t_task = 0.5; // 500 ms >> 19.77 ms
         let calls = uniform_prtr_calls(&node, t_task, 10, true);
-        let report = run_prtr(&node, &calls, &dctx()).unwrap();
+        let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         let t_task_actual = calls[0].task.task_time_s(&node);
         // First call pays its full config; the remaining 9 only task+control.
         let expected = node.t_prtr_s() + 10.0 * (node.control_overhead_s + t_task_actual);
@@ -1457,7 +1304,7 @@ mod tests {
         let t_task = 0.001; // 1 ms << 19.77 ms
         let n = 50;
         let calls = uniform_prtr_calls(&node, t_task, n, true);
-        let report = run_prtr(&node, &calls, &dctx()).unwrap();
+        let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         let t_task_actual = calls[0].task.task_time_s(&node);
         // Steady state: each call adds max(T_task, T_PRTR) = T_PRTR
         // (config for call i+1 starts at exec_start_i and T_PRTR > T_task
@@ -1479,7 +1326,7 @@ mod tests {
     fn prtr_hits_skip_configuration() {
         let node = node();
         let calls = uniform_prtr_calls(&node, 0.05, 10, false);
-        let report = run_prtr(&node, &calls, &dctx()).unwrap();
+        let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         // Only the first (cold) call configures.
         assert_eq!(report.n_config, 1);
         let t_task_actual = calls[0].task.task_time_s(&node);
@@ -1494,8 +1341,8 @@ mod tests {
         let n = 100;
         let prtr_calls = uniform_prtr_calls(&node, t_task, n, true);
         let frtr_calls: Vec<TaskCall> = prtr_calls.iter().map(|c| c.task).collect();
-        let frtr = run_frtr(&node, &frtr_calls, &dctx()).unwrap();
-        let prtr = run_prtr(&node, &prtr_calls, &dctx()).unwrap();
+        let frtr = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &dctx()).unwrap();
+        let prtr = run_prtr(&node, &prtr_calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         let speedup = frtr.total_s() / prtr.total_s();
         // The paper's "up to 87x" on the measured dual-PRR layout.
         assert!(speedup > 75.0 && speedup < 90.0, "speedup = {speedup}");
@@ -1505,9 +1352,9 @@ mod tests {
     fn shared_channel_ablation_slows_configuration() {
         let mut node = node();
         let calls = uniform_prtr_calls(&node, node.t_prtr_s(), 50, true);
-        let fast = run_prtr(&node, &calls, &dctx()).unwrap();
+        let fast = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         node.config_waits_for_data_input = true;
-        let slow = run_prtr(&node, &calls, &dctx()).unwrap();
+        let slow = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         assert!(slow.total_s() > fast.total_s());
     }
 
@@ -1518,7 +1365,7 @@ mod tests {
         let t_task = 0.1;
         let n = 20;
         let calls = uniform_prtr_calls(&node, t_task, n, true);
-        let report = run_prtr(&node, &calls, &dctx()).unwrap();
+        let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         let t_task_actual = calls[0].task.task_time_s(&node);
         // Steady state (T_task + T_d > T_PRTR here): increment
         // max(T_task + T_d, T_PRTR) + T_control.
@@ -1531,8 +1378,8 @@ mod tests {
 
     #[test]
     fn empty_prtr_run_rejected() {
-        assert!(run_prtr(&node(), &[], &dctx()).is_err());
-        assert!(run_prtr_reference(&node(), &[], &dctx()).is_err());
+        assert!(run_prtr(&node(), &[], &FaultPlan::disarmed(), &dctx()).is_err());
+        assert!(run_prtr_reference(&node(), &[], &FaultPlan::disarmed(), &dctx()).is_err());
     }
 
     #[test]
@@ -1543,16 +1390,16 @@ mod tests {
             hit: false,
             slot: 99,
         }];
-        assert!(run_prtr(&node, &calls, &dctx()).is_err());
+        assert!(run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).is_err());
     }
 
     #[test]
     fn instrumented_runs_are_timing_neutral_and_accounted() {
         let node = node();
         let calls = uniform_prtr_calls(&node, 0.05, 20, false);
-        let plain = run_prtr(&node, &calls, &dctx()).unwrap();
+        let plain = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         let ctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
-        let traced = run_prtr(&node, &calls, &ctx).unwrap();
+        let traced = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
         assert_eq!(plain, traced, "instrumentation must not perturb timing");
 
         let snap = ctx.registry.snapshot();
@@ -1581,7 +1428,7 @@ mod tests {
             .map(|i| TaskCall::with_task_time(format!("t{i}"), &node, 0.01))
             .collect();
         let ctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
-        let report = run_frtr(&node, &calls, &ctx).unwrap();
+        let report = run_frtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
         let snap = ctx.registry.snapshot();
         assert_eq!(snap.counters["sim.frtr.calls"], 4);
         assert_eq!(snap.counters["sim.frtr.full_configs"], 4);
@@ -1595,7 +1442,7 @@ mod tests {
     fn timeline_records_all_activity_kinds() {
         let node = node();
         let calls = uniform_prtr_calls(&node, 0.05, 5, true);
-        let report = run_prtr(&node, &calls, &dctx()).unwrap();
+        let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         let text = report.timeline.render_text(80);
         assert!(text.contains('P'), "partial configs:\n{text}");
         assert!(text.contains('X'), "executions:\n{text}");
@@ -1634,8 +1481,9 @@ mod tests {
             let calls = uniform_prtr_calls(&node, 0.01, 240, all_miss);
             let fctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
             let rctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
-            let fast = run_prtr(&node, &calls, &fctx).unwrap();
-            let reference = run_prtr_reference(&node, &calls, &rctx).unwrap();
+            let fast = run_prtr(&node, &calls, &FaultPlan::disarmed(), &fctx).unwrap();
+            let reference =
+                run_prtr_reference(&node, &calls, &FaultPlan::disarmed(), &rctx).unwrap();
             assert_reports_equivalent(
                 &fast,
                 &reference,
@@ -1663,8 +1511,8 @@ mod tests {
             .collect();
         let fctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
         let rctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
-        let fast = run_frtr(&node, &calls, &fctx).unwrap();
-        let reference = run_frtr_reference(&node, &calls, &rctx).unwrap();
+        let fast = run_frtr(&node, &calls, &FaultPlan::disarmed(), &fctx).unwrap();
+        let reference = run_frtr_reference(&node, &calls, &FaultPlan::disarmed(), &rctx).unwrap();
         assert_reports_equivalent(
             &fast,
             &reference,
@@ -1689,13 +1537,16 @@ mod tests {
 
     #[test]
     fn disarmed_faulty_runs_are_identical_to_clean_runs() {
+        // A plan whose rates are all zero is disarmed whatever its seed
+        // and recovery policy: it renders the clean run exactly.
         let node = node();
-        let plan = FaultPlan::disarmed();
+        let plan = armed_plan(0.0, 42);
+        assert!(!plan.armed());
         let calls = uniform_prtr_calls(&node, 0.01, 50, true);
         let cctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
         let fctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
-        let clean = run_prtr(&node, &calls, &cctx).unwrap();
-        let faulty = run_prtr_faulty(&node, &calls, &plan, &fctx).unwrap();
+        let clean = run_prtr(&node, &calls, &FaultPlan::disarmed(), &cctx).unwrap();
+        let faulty = run_prtr(&node, &calls, &plan, &fctx).unwrap();
         assert_eq!(clean, faulty);
         assert_reports_equivalent(
             &faulty,
@@ -1705,8 +1556,8 @@ mod tests {
         );
 
         let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
-        let clean = run_frtr(&node, &frtr_calls, &dctx()).unwrap();
-        let faulty = run_frtr_faulty(&node, &frtr_calls, &plan, &dctx()).unwrap();
+        let clean = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &dctx()).unwrap();
+        let faulty = run_frtr(&node, &frtr_calls, &plan, &dctx()).unwrap();
         assert_eq!(clean, faulty);
     }
 
@@ -1717,8 +1568,8 @@ mod tests {
         let calls = uniform_prtr_calls(&node, 0.01, 240, true);
         let fctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
         let rctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
-        let fast = run_prtr_faulty(&node, &calls, &plan, &fctx).unwrap();
-        let reference = run_prtr_faulty_reference(&node, &calls, &plan, &rctx).unwrap();
+        let fast = run_prtr(&node, &calls, &plan, &fctx).unwrap();
+        let reference = run_prtr_reference(&node, &calls, &plan, &rctx).unwrap();
         assert_reports_equivalent(
             &fast,
             &reference,
@@ -1747,8 +1598,8 @@ mod tests {
             .collect();
         let fctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
         let rctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
-        let fast = run_frtr_faulty(&node, &calls, &plan, &fctx).unwrap();
-        let reference = run_frtr_faulty_reference(&node, &calls, &plan, &rctx).unwrap();
+        let fast = run_frtr(&node, &calls, &plan, &fctx).unwrap();
+        let reference = run_frtr_reference(&node, &calls, &plan, &rctx).unwrap();
         assert_reports_equivalent(
             &fast,
             &reference,
@@ -1765,7 +1616,7 @@ mod tests {
         let mut prev_total = 0.0;
         for rate in [0.0, 0.05, 0.2, 0.6] {
             let plan = armed_plan(rate, 1234);
-            let report = run_prtr_faulty(&node, &calls, &plan, &dctx()).unwrap();
+            let report = run_prtr(&node, &calls, &plan, &dctx()).unwrap();
             assert!(
                 report.total_s() >= prev_total,
                 "total must grow with fault rate (rate {rate})"
@@ -1787,7 +1638,7 @@ mod tests {
         let plan = FaultPlan::new(spec, hprc_fault::RecoveryPolicy::default(), 9);
         let calls = uniform_prtr_calls(&node, 0.01, 30, true);
         let ctx = ExecCtx::default().with_registry(hprc_obs::Registry::new());
-        let report = run_prtr_faulty(&node, &calls, &plan, &ctx).unwrap();
+        let report = run_prtr(&node, &calls, &plan, &ctx).unwrap();
         assert_eq!(report.n_dropped, 30);
         assert_eq!(report.n_config, 0);
         let snap = ctx.registry.snapshot();
@@ -1808,8 +1659,8 @@ mod tests {
             hit: false,
             slot: 0,
         };
-        let fast = run_prtr(&node, &calls, &dctx()).unwrap();
-        let reference = run_prtr_reference(&node, &calls, &dctx()).unwrap();
+        let fast = run_prtr(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
+        let reference = run_prtr_reference(&node, &calls, &FaultPlan::disarmed(), &dctx()).unwrap();
         assert_eq!(fast.total, reference.total);
         assert_eq!(fast.calls, reference.calls);
         let a: Vec<_> = fast.timeline.iter().collect();

@@ -9,12 +9,21 @@
 //! ([`executor`]), producing totals and event timelines ([`trace`]) that
 //! can be validated against the analytical model of `hprc-model`.
 //!
+//! There are three executors — [`run_frtr`], [`run_prtr`], and the
+//! preemptive-schedule renderer [`run_preemptive`] ([`preempt`]) — each
+//! with a steady-state fast path and a per-call `_reference` oracle it
+//! is bit-identical to. FRTR and PRTR take an
+//! [`hprc_fault::FaultPlan`]: a clean run is a run under
+//! `FaultPlan::disarmed()`, an armed plan injects configuration faults
+//! and lays out their recovery chains.
+//!
 //! Every executor entry point takes an [`hprc_ctx::ExecCtx`] carrying the
 //! observability registry, seed, calibration, and parallelism budget;
 //! `ExecCtx::default()` is the plain, uninstrumented run.
 //!
 //! ```
 //! use hprc_ctx::ExecCtx;
+//! use hprc_fault::FaultPlan;
 //! use hprc_fpga::floorplan::Floorplan;
 //! use hprc_sim::executor::{run_frtr, run_prtr};
 //! use hprc_sim::node::NodeConfig;
@@ -31,8 +40,8 @@
 //!     })
 //!     .collect();
 //! let tasks: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
-//! let frtr = run_frtr(&node, &tasks, &ctx).unwrap();
-//! let prtr = run_prtr(&node, &calls, &ctx).unwrap();
+//! let frtr = run_frtr(&node, &tasks, &FaultPlan::disarmed(), &ctx).unwrap();
+//! let prtr = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
 //! assert!(frtr.total_s() / prtr.total_s() > 50.0); // PRTR wins big here
 //! ```
 

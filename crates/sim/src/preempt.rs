@@ -33,12 +33,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::SimError;
 use crate::executor::{
-    verified_periods, CallTiming, ExecutionReport, LabelCache, SeenAt, L_CFG, L_CTL, L_DEC, L_FULL,
-    L_RCV, L_RES, L_SAV,
+    publish, CallTiming, ExecutionReport, Render, SteadyState, L_CFG, L_CTL, L_DEC, L_FULL, L_RCV,
+    L_RES, L_SAV,
 };
 use crate::node::NodeConfig;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{EventKind, Lane, Timeline};
+use crate::trace::{EventKind, Lane};
 
 /// One dispatch of one task onto one PRR, with every window already
 /// resolved by the scheduler (absolute simulation times). Transfer
@@ -159,15 +159,6 @@ fn seg_key(seg: &PreemptSegment, prev_start: SimTime, prev_exec_end: SimTime) ->
     }
 }
 
-/// Marginal latency sample: completion-to-completion, clamped at zero
-/// because execution windows on different PRRs may overlap (a later
-/// dispatch can finish before an earlier long-running one). Used
-/// identically by the per-segment path and the jump replication, and
-/// shift-invariant within a verified period.
-fn latency_s(exec_end: SimTime, prev_end: SimTime) -> f64 {
-    (exec_end.max(prev_end) - prev_end).as_secs_f64()
-}
-
 /// Renders a preemptive schedule with the steady-state fast path
 /// enabled. See the [module docs](self) for the event and journal
 /// vocabulary; totals, timings, metrics, and journal bytes are
@@ -196,7 +187,6 @@ fn run_preemptive_impl(
     ctx: &ExecCtx,
     enable_jump: bool,
 ) -> Result<ExecutionReport, SimError> {
-    let registry = &ctx.registry;
     if segments.is_empty() {
         return Err(SimError::InvalidRun("empty segment sequence".into()));
     }
@@ -206,33 +196,31 @@ fn run_preemptive_impl(
             bad.slot, node.n_prrs
         )));
     }
+    // The rendered report is a pure function of (node, segments), which
+    // keys the whole-run memo (see `crate::delta`).
+    let key = || crate::delta::preempt_key(node, segments);
+    crate::delta::memoized(ctx, enable_jump, key, segments.len(), || {
+        Ok(render(segments, ctx, enable_jump))
+    })
+}
 
-    // Whole-run memo (see `crate::delta`): the rendered report is a
-    // pure function of (node, segments).
-    let memo_key =
-        (enable_jump && ctx.delta.is_enabled()).then(|| crate::delta::preempt_key(node, segments));
-    let replayable = memo_key.is_some() && crate::delta::replay_allowed(ctx);
-    if replayable {
-        if let Some(r) = crate::delta::fetch(&ctx.delta, memo_key.as_deref().unwrap()) {
-            ctx.delta.note_full_hit(segments.len() as u64);
-            return Ok((*r).clone());
-        }
-    }
+fn render(segments: &[PreemptSegment], ctx: &ExecCtx, enable_jump: bool) -> ExecutionReport {
+    // Tallies: hits, configuration transfers, context saves, context
+    // restores, drops, forced-full transfers, successful configurations.
+    const HITS: usize = 0;
+    const TRANSFERS: usize = 1;
+    const SAVES: usize = 2;
+    const RESTORES: usize = 3;
+    const DROPPED: usize = 4;
+    const FORCED: usize = 5;
+    const CONFIGS: usize = 6;
 
+    let registry = &ctx.registry;
     let _span = registry.span("sim.run_preemptive");
     let j = &ctx.journal;
     let tid_host = Lane::Host.chrome_tid();
     let tid_cfg = Lane::ConfigPort.chrome_tid();
     let jrun = j.enter("sim.run_preemptive", 0, tid_host);
-    let m_segments = registry.counter("sim.preempt.segments");
-    let m_hits = registry.counter("sim.preempt.hits");
-    let m_misses = registry.counter("sim.preempt.misses");
-    let m_configs = registry.counter("sim.preempt.configs");
-    let m_saves = registry.counter("sim.preempt.saves");
-    let m_restores = registry.counter("sim.preempt.restores");
-    let m_drops = registry.counter("sim.preempt.drops");
-    let m_forced = registry.counter("sim.preempt.forced_full");
-    let m_latency = registry.histogram("sim.preempt.segment_latency_s");
 
     // One stable anchor span per task: the host-side context buffer the
     // checkpoint flows dock at. Opened before any segment (outside any
@@ -250,98 +238,36 @@ fn run_preemptive_impl(
         }
     }
 
-    // Salted keys confine jumps to clean segments, mirroring the faulty
-    // executors: a non-clean segment gets a unique salt so no period
-    // containing it ever matches.
-    let keys: Vec<(SegKey, u64)> = if enable_jump {
-        segments
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let (prev_start, prev_exec_end) = if i == 0 {
-                    (SimTime::ZERO, SimTime::ZERO)
-                } else {
-                    (segments[i - 1].decision_start, segments[i - 1].exec_end)
-                };
-                let salt = if s.clean { 0 } else { i as u64 + 1 };
-                (seg_key(s, prev_start, prev_exec_end), salt)
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut seen: HashMap<(SegKey, u64), SeenAt> = HashMap::new();
-
-    let mut timeline = Timeline::default();
-    let mut labels = LabelCache::default();
-    let mut timings: Vec<CallTiming> = Vec::with_capacity(segments.len());
-    let mut n_config = 0u64;
-    let mut n_dropped = 0u64;
+    let mut steady: SteadyState<SegKey, (), 7> = SteadyState::new(
+        enable_jump,
+        segments.len(),
+        |i| match i.checked_sub(1).map(|p| &segments[p]) {
+            Some(prev) => seg_key(&segments[i], prev.decision_start, prev.exec_end),
+            None => seg_key(&segments[i], SimTime::ZERO, SimTime::ZERO),
+        },
+        |i| segments[i].clean,
+    );
+    let mut out = Render::<7>::new(ctx, "sim.preempt.segment_latency_s", segments.len());
 
     let mut i = 0usize;
     while i < segments.len() {
-        if enable_jump && i >= 1 {
-            if let Some(at) = seen.get(&keys[i]).copied() {
-                let p = i - at.i0;
-                let m = verified_periods(&keys, at.i0, p, i);
-                if m >= 1 {
-                    let delta = segments[i].decision_start.0 - at.anchor.0;
-                    let pattern = timeline.split_off_events(at.items_marker);
-                    timeline.push_repeat(pattern, m + 1, SimDuration(delta));
-                    let latencies: Vec<f64> = (at.timings_marker..timings.len())
-                        .map(|t| latency_s(timings[t].exec_end, timings[t - 1].exec_end))
-                        .collect();
-                    let block = timings[at.timings_marker..].to_vec();
-                    let bseg = &segments[at.i0..i];
-                    let b_hits = bseg.iter().filter(|s| s.hit).count() as u64;
-                    let b_cfgs = bseg.iter().filter(|s| s.config.is_some()).count() as u64;
-                    let b_cfg_ok = bseg
-                        .iter()
-                        .filter(|s| s.config.is_some() && !s.dropped)
-                        .count() as u64;
-                    let b_saves = bseg.iter().filter(|s| s.save.is_some()).count() as u64;
-                    let b_restores = bseg.iter().filter(|s| s.restore.is_some()).count() as u64;
-                    let b_drops = bseg.iter().filter(|s| s.dropped).count() as u64;
-                    let b_forced = bseg.iter().filter(|s| s.forced_full).count() as u64;
-                    for k in 1..=m {
-                        timings.extend(block.iter().map(|t| t.shifted(k * delta)));
-                    }
-                    m_segments.add(m * p as u64);
-                    m_hits.add(m * b_hits);
-                    m_misses.add(m * (p as u64 - b_hits));
-                    m_configs.add(m * b_cfgs);
-                    m_saves.add(m * b_saves);
-                    m_restores.add(m * b_restores);
-                    m_drops.add(m * b_drops);
-                    m_forced.add(m * b_forced);
-                    m_latency.record_cycle(&latencies, m);
-                    n_config += m * b_cfg_ok;
-                    n_dropped += m * b_drops;
-                    j.replay_cycle(at.jmark, m, delta);
-                    i += m as usize * p;
-                    seen.clear();
-                    continue;
-                }
+        // The first segment's key is relative to a stand-in predecessor
+        // at t = 0, so it never anchors a period.
+        if i >= 1 {
+            let anchor = segments[i].decision_start;
+            if let Some((jumped, _)) = steady.jump(i, (), anchor, &mut out) {
+                i += jumped;
+                continue;
             }
-            seen.insert(
-                keys[i],
-                SeenAt {
-                    i0: i,
-                    anchor: segments[i].decision_start,
-                    items_marker: timeline.n_items(),
-                    timings_marker: timings.len(),
-                    jmark: j.mark(),
-                },
-            );
         }
 
         let seg = &segments[i];
         let jcall = j.open(seg.name.as_str(), jrun, seg.decision_start.0, tid_host);
         let jdec = j.event("decide", jcall, seg.decision_start.0, tid_host);
-        timeline.push(
+        out.timeline.push(
             Lane::Host,
             EventKind::Decision,
-            labels.get(L_DEC, seg.name, 0),
+            out.labels.get(L_DEC, seg.name, 0),
             seg.decision_start,
             seg.decision_end,
         );
@@ -351,29 +277,27 @@ fn run_preemptive_impl(
             jcfg = j.event("configure", jcall, cs.0, tid_cfg);
             j.flow(jdec, jcfg, "hide");
             let clean_end = (cs + seg.config_clean).min(ce);
-            let kind = if seg.forced_full {
-                EventKind::FullConfig
+            let (kind, tag) = if seg.forced_full {
+                (EventKind::FullConfig, L_FULL)
             } else {
-                EventKind::PartialConfig
+                (EventKind::PartialConfig, L_CFG)
             };
-            let tag = if seg.forced_full { L_FULL } else { L_CFG };
-            timeline.push(
+            out.timeline.push(
                 Lane::ConfigPort,
                 kind,
-                labels.get(tag, seg.name, seg.slot),
+                out.labels.get(tag, seg.name, seg.slot),
                 cs,
                 clean_end,
             );
-            timeline.push(
+            out.timeline.push(
                 Lane::ConfigPort,
                 EventKind::Recovery,
-                labels.get(L_RCV, seg.name, 0),
+                out.labels.get(L_RCV, seg.name, 0),
                 clean_end,
                 ce,
             );
-            if !seg.dropped {
-                n_config += 1;
-            }
+            out.tally[TRANSFERS] += 1;
+            out.tally[CONFIGS] += !seg.dropped as u64;
         }
 
         let mut jres = None;
@@ -381,31 +305,31 @@ fn run_preemptive_impl(
             jres = j.event("restore", jcall, rs.0, tid_cfg);
             j.flow(anchors[&seg.name], jres, "restore");
             let clean_end = (rs + seg.restore_clean).min(re);
-            timeline.push(
+            out.timeline.push(
                 Lane::ConfigPort,
                 EventKind::Restore,
-                labels.get(L_RES, seg.name, seg.slot),
+                out.labels.get(L_RES, seg.name, seg.slot),
                 rs,
                 clean_end,
             );
-            timeline.push(
+            out.timeline.push(
                 Lane::ConfigPort,
                 EventKind::Recovery,
-                labels.get(L_RCV, seg.name, 0),
+                out.labels.get(L_RCV, seg.name, 0),
                 clean_end,
                 re,
             );
-            m_restores.inc();
+            out.tally[RESTORES] += 1;
         }
 
-        timeline.push(
+        out.timeline.push(
             Lane::Host,
             EventKind::Control,
-            labels.get(L_CTL, seg.name, 0),
+            out.labels.get(L_CTL, seg.name, 0),
             seg.control_start,
             seg.control_end,
         );
-        timeline.push(
+        out.timeline.push(
             Lane::Prr(seg.slot),
             EventKind::Exec,
             seg.name,
@@ -435,35 +359,20 @@ fn run_preemptive_impl(
             let jsave = j.event("save", jcall, ss.0, tid_cfg);
             j.flow(jexec, jsave, "preempt");
             j.flow(jsave, anchors[&seg.name], "save");
-            timeline.push(
+            out.timeline.push(
                 Lane::ConfigPort,
                 EventKind::Preempt,
-                labels.get(L_SAV, seg.name, seg.slot),
+                out.labels.get(L_SAV, seg.name, seg.slot),
                 ss,
                 se,
             );
-            m_saves.inc();
+            out.tally[SAVES] += 1;
         }
 
-        m_segments.inc();
-        if seg.hit {
-            m_hits.inc();
-        } else {
-            m_misses.inc();
-        }
-        if seg.config.is_some() {
-            m_configs.inc();
-        }
-        if seg.dropped {
-            m_drops.inc();
-            n_dropped += 1;
-        }
-        if seg.forced_full {
-            m_forced.inc();
-        }
-        let prev_end = timings.last().map_or(SimTime::ZERO, |t| t.exec_end);
-        m_latency.record(latency_s(seg.exec_end, prev_end));
-        timings.push(CallTiming {
+        out.tally[HITS] += seg.hit as u64;
+        out.tally[DROPPED] += seg.dropped as u64;
+        out.tally[FORCED] += seg.forced_full as u64;
+        out.push_timing(CallTiming {
             name: seg.name,
             hit: seg.hit,
             config_start: seg.config.map(|w| w.0),
@@ -475,24 +384,31 @@ fn run_preemptive_impl(
         i += 1;
     }
 
-    let end = timeline.span_end();
+    let end = out.timeline.span_end();
     for name in anchor_order {
         j.close(anchors[&name], end.0);
     }
     j.exit(jrun, end.0);
-    timeline.record_metrics(registry, "sim.preempt");
-    let report = ExecutionReport {
-        total: end - SimTime::ZERO,
-        calls: timings,
-        timeline,
-        n_config,
-        n_dropped,
-    };
-    if let Some(key) = memo_key {
-        crate::delta::store(&ctx.delta, key, &report);
-        if replayable {
-            ctx.delta.note_miss(segments.len() as u64);
-        }
-    }
-    Ok(report)
+    let n = segments.len() as u64;
+    let t = out.tally;
+    publish(
+        registry,
+        &[
+            ("sim.preempt.segments", n),
+            ("sim.preempt.hits", t[HITS]),
+            ("sim.preempt.misses", n - t[HITS]),
+            ("sim.preempt.configs", t[TRANSFERS]),
+            ("sim.preempt.saves", t[SAVES]),
+            ("sim.preempt.restores", t[RESTORES]),
+            ("sim.preempt.drops", t[DROPPED]),
+            ("sim.preempt.forced_full", t[FORCED]),
+        ],
+    );
+    out.into_report(
+        registry,
+        "sim.preempt",
+        end - SimTime::ZERO,
+        t[CONFIGS],
+        t[DROPPED],
+    )
 }

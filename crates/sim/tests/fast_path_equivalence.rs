@@ -6,6 +6,7 @@
 //! bit-identical metrics (counters, histograms, gauges).
 
 use hprc_ctx::{ExecCtx, Symbol};
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_obs::Registry;
 use hprc_sim::executor::{
@@ -151,8 +152,8 @@ proptest! {
         let rctx = ExecCtx::default()
             .with_registry(Registry::new())
             .with_journal(hprc_obs::Journal::new(7));
-        let fast = run_prtr(&node, &calls, &fctx).unwrap();
-        let reference = run_prtr_reference(&node, &calls, &rctx).unwrap();
+        let fast = run_prtr(&node, &calls, &FaultPlan::disarmed(), &fctx).unwrap();
+        let reference = run_prtr_reference(&node, &calls, &FaultPlan::disarmed(), &rctx).unwrap();
         assert_equivalent(&fast, &reference, &fctx, &rctx);
     }
 
@@ -177,8 +178,8 @@ proptest! {
         let rctx = ExecCtx::default()
             .with_registry(Registry::new())
             .with_journal(hprc_obs::Journal::new(7));
-        let fast = run_frtr(&node, &calls, &fctx).unwrap();
-        let reference = run_frtr_reference(&node, &calls, &rctx).unwrap();
+        let fast = run_frtr(&node, &calls, &FaultPlan::disarmed(), &fctx).unwrap();
+        let reference = run_frtr_reference(&node, &calls, &FaultPlan::disarmed(), &rctx).unwrap();
         assert_equivalent(&fast, &reference, &fctx, &rctx);
     }
 
@@ -202,7 +203,7 @@ proptest! {
                 slot: t.slot % node.n_prrs,
             })
             .collect();
-        let fast = run_prtr(&node, &calls, &ExecCtx::default()).unwrap();
+        let fast = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
         // Detection costs at most two warm-up periods plus the jump
         // block; well under half the expanded run for >= 30 reps.
         prop_assert!(

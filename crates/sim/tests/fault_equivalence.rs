@@ -1,19 +1,19 @@
 //! Property tests extending the fast==reference equivalence guarantee to
-//! faulty runs: for *any* call sequence and *any* seeded fault plan,
-//! `run_frtr_faulty`/`run_prtr_faulty` must be observably
-//! indistinguishable from their reference counterparts — same totals,
-//! same per-call timings, same drop counts, same RLE-expanded timeline,
-//! and bit-identical metrics. Also pins the zero-probability identity
-//! (a disarmed plan is byte-for-byte the clean executor) and the
-//! certain-fault extreme (everything drops, nothing panics).
+//! faulty runs: for *any* call sequence and *any* seeded fault plan —
+//! the disarmed plan of a clean run included — `run_frtr`/`run_prtr`
+//! must be observably indistinguishable from their reference
+//! counterparts: same totals, same per-call timings, same drop counts,
+//! same RLE-expanded timeline, and bit-identical metrics. Also pins the
+//! zero-probability identity (a plan with every rate at zero is
+//! byte-for-byte the disarmed plan) and the certain-fault extreme
+//! (everything drops, nothing panics).
 
 use hprc_ctx::{ExecCtx, Symbol};
 use hprc_fault::{FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_fpga::floorplan::Floorplan;
 use hprc_obs::Registry;
 use hprc_sim::executor::{
-    run_frtr, run_frtr_faulty, run_frtr_faulty_reference, run_prtr, run_prtr_faulty,
-    run_prtr_faulty_reference, ExecutionReport,
+    run_frtr, run_frtr_reference, run_prtr, run_prtr_reference, ExecutionReport,
 };
 use hprc_sim::node::NodeConfig;
 use hprc_sim::task::{PrtrCall, TaskCall};
@@ -83,16 +83,18 @@ fn sequence() -> impl Strategy<Value = Vec<Template>> {
         )
 }
 
-/// Fault plans spanning the whole regime: disarmed, rare, common, and
-/// near-certain faults, with varied recovery budgets.
+/// Fault plans spanning the whole regime: the disarmed plan of a clean
+/// run, zero rates, rare, common, and near-certain faults, with varied
+/// recovery budgets.
 fn plan() -> impl Strategy<Value = FaultPlan> {
-    (0..4u8, 0.0..1.0f64, any::<u64>(), 1..4u32, 1..3u32, 1..4u32).prop_map(
+    (0..5u8, 0.0..1.0f64, any::<u64>(), 1..4u32, 1..3u32, 1..4u32).prop_map(
         |(regime, u, seed, max_partial, max_full, blacklist_after)| {
             let rate = match regime {
                 0 => 0.0,
                 1 => 0.001 + u * 0.049,
                 2 => 0.05 + u * 0.35,
-                _ => 0.9 + u * 0.0999,
+                3 => 0.9 + u * 0.0999,
+                _ => return FaultPlan::disarmed(),
             };
             let policy = RecoveryPolicy {
                 max_partial_attempts: max_partial,
@@ -192,8 +194,8 @@ proptest! {
         let rctx = ExecCtx::default()
             .with_registry(Registry::new())
             .with_journal(hprc_obs::Journal::new(7));
-        let fast = run_prtr_faulty(&node, &calls, &plan, &fctx).unwrap();
-        let reference = run_prtr_faulty_reference(&node, &calls, &plan, &rctx).unwrap();
+        let fast = run_prtr(&node, &calls, &plan, &fctx).unwrap();
+        let reference = run_prtr_reference(&node, &calls, &plan, &rctx).unwrap();
         assert_equivalent(&fast, &reference, &fctx, &rctx);
     }
 
@@ -212,52 +214,53 @@ proptest! {
         let rctx = ExecCtx::default()
             .with_registry(Registry::new())
             .with_journal(hprc_obs::Journal::new(7));
-        let fast = run_frtr_faulty(&node, &calls, &plan, &fctx).unwrap();
-        let reference = run_frtr_faulty_reference(&node, &calls, &plan, &rctx).unwrap();
+        let fast = run_frtr(&node, &calls, &plan, &fctx).unwrap();
+        let reference = run_frtr_reference(&node, &calls, &plan, &rctx).unwrap();
         assert_equivalent(&fast, &reference, &fctx, &rctx);
     }
 
-    /// All-probabilities-zero identity: with every probability at 0.0
-    /// (or the plan disarmed outright) the faulty executors are
-    /// byte-for-byte the clean executors — timelines, reports, metrics.
+    /// All-probabilities-zero identity: whatever its seed and recovery
+    /// budget, a plan with every probability at 0.0 renders exactly the
+    /// clean run under the disarmed plan — timelines, reports, metrics,
+    /// and journal.
     #[test]
     fn zero_probability_plans_are_the_clean_executors(
         seq in sequence(),
         seed in any::<u64>(),
-        armed_zero in any::<bool>(),
+        max_partial in 1..4u32,
     ) {
         let node = node(false, false);
-        let plan = if armed_zero {
-            // Armed object, all probabilities zero: still must take the
-            // exact clean path (armed() is false for a zero spec).
-            FaultPlan::new(FaultSpec::default(), RecoveryPolicy::default(), seed)
-        } else {
-            FaultPlan::disarmed()
+        let policy = RecoveryPolicy {
+            max_partial_attempts: max_partial,
+            ..RecoveryPolicy::default()
         };
+        let zero = FaultPlan::new(FaultSpec::default(), policy, seed);
+        prop_assert!(!zero.armed());
+        let disarmed = FaultPlan::disarmed();
 
         let calls = prtr_calls(&seq, &node);
         let cctx = ExecCtx::default()
             .with_registry(Registry::new())
             .with_journal(hprc_obs::Journal::new(7));
-        let fctx = ExecCtx::default()
+        let zctx = ExecCtx::default()
             .with_registry(Registry::new())
             .with_journal(hprc_obs::Journal::new(7));
-        let clean = run_prtr(&node, &calls, &cctx).unwrap();
-        let faulty = run_prtr_faulty(&node, &calls, &plan, &fctx).unwrap();
-        prop_assert_eq!(&clean, &faulty);
-        assert_equivalent(&faulty, &clean, &fctx, &cctx);
+        let clean = run_prtr(&node, &calls, &disarmed, &cctx).unwrap();
+        let zeroed = run_prtr(&node, &calls, &zero, &zctx).unwrap();
+        prop_assert_eq!(&clean, &zeroed);
+        assert_equivalent(&zeroed, &clean, &zctx, &cctx);
 
         let calls = frtr_calls(&seq);
         let cctx = ExecCtx::default()
             .with_registry(Registry::new())
             .with_journal(hprc_obs::Journal::new(7));
-        let fctx = ExecCtx::default()
+        let zctx = ExecCtx::default()
             .with_registry(Registry::new())
             .with_journal(hprc_obs::Journal::new(7));
-        let clean = run_frtr(&node, &calls, &cctx).unwrap();
-        let faulty = run_frtr_faulty(&node, &calls, &plan, &fctx).unwrap();
-        prop_assert_eq!(&clean, &faulty);
-        assert_equivalent(&faulty, &clean, &fctx, &cctx);
+        let clean = run_frtr(&node, &calls, &disarmed, &cctx).unwrap();
+        let zeroed = run_frtr(&node, &calls, &zero, &zctx).unwrap();
+        prop_assert_eq!(&clean, &zeroed);
+        assert_equivalent(&zeroed, &clean, &zctx, &cctx);
     }
 
     /// Certain faults everywhere: every configuration chain exhausts its
@@ -280,13 +283,13 @@ proptest! {
 
         let calls = prtr_calls(&seq, &node);
         let n_miss = calls.iter().filter(|c| !c.hit).count() as u64;
-        let report = run_prtr_faulty(&node, &calls, &plan, &ExecCtx::default()).unwrap();
+        let report = run_prtr(&node, &calls, &plan, &ExecCtx::default()).unwrap();
         prop_assert_eq!(report.calls.len(), calls.len());
         prop_assert_eq!(report.n_dropped, n_miss);
         prop_assert_eq!(report.n_config, 0);
 
         let calls = frtr_calls(&seq);
-        let report = run_frtr_faulty(&node, &calls, &plan, &ExecCtx::default()).unwrap();
+        let report = run_frtr(&node, &calls, &plan, &ExecCtx::default()).unwrap();
         prop_assert_eq!(report.calls.len(), calls.len());
         prop_assert_eq!(report.n_dropped, calls.len() as u64);
         prop_assert_eq!(report.n_config, 0);

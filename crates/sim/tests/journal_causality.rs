@@ -10,7 +10,7 @@ use hprc_ctx::{ExecCtx, Symbol};
 use hprc_fault::{FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_fpga::floorplan::Floorplan;
 use hprc_obs::{Journal, JournalRecord, SpanId};
-use hprc_sim::executor::{run_frtr_faulty, run_prtr, run_prtr_faulty};
+use hprc_sim::executor::{run_frtr, run_prtr};
 use hprc_sim::node::NodeConfig;
 use hprc_sim::task::{PrtrCall, TaskCall};
 
@@ -185,7 +185,7 @@ fn prtr_faulty_recoveries_nest_and_chains_connect() {
     let node = node();
     let calls = prtr_calls(120);
     let ctx = ExecCtx::default().with_journal(Journal::new(21));
-    run_prtr_faulty(&node, &calls, &plan(0.4, 0xFA17), &ctx).unwrap();
+    run_prtr(&node, &calls, &plan(0.4, 0xFA17), &ctx).unwrap();
     let v = View::of(&ctx.journal);
     let n_recoveries = assert_recoveries_nest(&v);
     let n_faulty = assert_chains_connected(&v);
@@ -206,7 +206,7 @@ fn frtr_faulty_recoveries_nest_and_chains_connect() {
     let node = node();
     let calls: Vec<TaskCall> = (0..80).map(task).collect();
     let ctx = ExecCtx::default().with_journal(Journal::new(22));
-    run_frtr_faulty(&node, &calls, &plan(0.5, 0x5EED), &ctx).unwrap();
+    run_frtr(&node, &calls, &plan(0.5, 0x5EED), &ctx).unwrap();
     let v = View::of(&ctx.journal);
     let n_recoveries = assert_recoveries_nest(&v);
     assert!(n_recoveries > 0);
@@ -220,7 +220,7 @@ fn clean_prtr_links_decisions_to_hidden_configs_and_hits() {
     let node = node();
     let calls = prtr_calls(40);
     let ctx = ExecCtx::default().with_journal(Journal::new(23));
-    run_prtr(&node, &calls, &ctx).unwrap();
+    run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).unwrap();
     let v = View::of(&ctx.journal);
     let kinds: HashSet<&str> = v.flows.iter().map(|(_, _, k)| k.as_str()).collect();
     assert!(kinds.contains("hide"), "decision→configure edges exist");

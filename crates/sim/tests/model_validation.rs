@@ -4,6 +4,7 @@
 //! asymptotically (with O(1/n) cold-start error) for PRTR.
 
 use hprc_ctx::ExecCtx;
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_model::params::{ModelParams, NormalizedTimes};
 use hprc_model::{frtr, prtr, speedup};
@@ -42,7 +43,7 @@ fn frtr_matches_equation_2_exactly_for_any_n() {
             .map(|i| TaskCall::with_task_time(format!("t{i}"), &node, t_task))
             .collect();
         let t_task_actual = calls[0].task_time_s(&node);
-        let report = run_frtr(&node, &calls, &ExecCtx::default()).unwrap();
+        let report = run_frtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
         let params = model_params(&node, t_task_actual, 0.0, n as u64);
         let predicted = frtr::total_time_normalized(&params) * node.t_frtr_s();
         let rel = (report.total_s() - predicted).abs() / predicted;
@@ -67,7 +68,7 @@ fn prtr_all_miss_converges_to_equation_5() {
     ] {
         let calls = uniform_calls(&node, t_task, n, &vec![false; n]);
         let t_task_actual = calls[0].task.task_time_s(&node);
-        let report = run_prtr(&node, &calls, &ExecCtx::default()).unwrap();
+        let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
         let params = model_params(&node, t_task_actual, 0.0, n as u64);
         let predicted = prtr::total_time_normalized(&params) * node.t_frtr_s();
         let rel = (report.total_s() - predicted).abs() / predicted;
@@ -101,7 +102,7 @@ fn prtr_with_hits_converges_to_equation_5() {
         let t_task = 0.5 * node.t_prtr_s();
         let calls = uniform_calls(&node, t_task, n, &hits);
         let t_task_actual = calls[0].task.task_time_s(&node);
-        let report = run_prtr(&node, &calls, &ExecCtx::default()).unwrap();
+        let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
         let params = model_params(&node, t_task_actual, actual_h, n as u64);
         let predicted = prtr::total_time_normalized(&params) * node.t_frtr_s();
         let rel = (report.total_s() - predicted).abs() / predicted;
@@ -121,12 +122,22 @@ fn measured_speedup_matches_equation_6() {
         let prtr_calls = uniform_calls(&node, t_task, n, &vec![false; n]);
         let frtr_calls: Vec<TaskCall> = prtr_calls.iter().map(|c| c.task).collect();
         let t_task_actual = frtr_calls[0].task_time_s(&node);
-        let s_sim = run_frtr(&node, &frtr_calls, &ExecCtx::default())
+        let s_sim = run_frtr(
+            &node,
+            &frtr_calls,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        )
+        .unwrap()
+        .total_s()
+            / run_prtr(
+                &node,
+                &prtr_calls,
+                &FaultPlan::disarmed(),
+                &ExecCtx::default(),
+            )
             .unwrap()
-            .total_s()
-            / run_prtr(&node, &prtr_calls, &ExecCtx::default())
-                .unwrap()
-                .total_s();
+            .total_s();
         let params = model_params(&node, t_task_actual, 0.0, n as u64);
         let s_model = speedup::speedup(&params);
         let rel = (s_sim - s_model).abs() / s_model;
@@ -147,7 +158,7 @@ fn decision_latency_validation() {
     let t_task = node.t_prtr_s();
     let calls = uniform_calls(&node, t_task, n, &vec![false; n]);
     let t_task_actual = calls[0].task.task_time_s(&node);
-    let report = run_prtr(&node, &calls, &ExecCtx::default()).unwrap();
+    let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
     let params = model_params(&node, t_task_actual, 0.0, n as u64);
     let predicted = prtr::total_time_normalized(&params) * node.t_frtr_s();
     let rel = (report.total_s() - predicted).abs() / predicted;
@@ -167,12 +178,22 @@ fn estimated_node_peak_speedup_is_about_7x() {
     let t_task = node.t_prtr_s();
     let prtr_calls = uniform_calls(&node, t_task, n, &vec![false; n]);
     let frtr_calls: Vec<TaskCall> = prtr_calls.iter().map(|c| c.task).collect();
-    let s = run_frtr(&node, &frtr_calls, &ExecCtx::default())
+    let s = run_frtr(
+        &node,
+        &frtr_calls,
+        &FaultPlan::disarmed(),
+        &ExecCtx::default(),
+    )
+    .unwrap()
+    .total_s()
+        / run_prtr(
+            &node,
+            &prtr_calls,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        )
         .unwrap()
-        .total_s()
-        / run_prtr(&node, &prtr_calls, &ExecCtx::default())
-            .unwrap()
-            .total_s();
+        .total_s();
     assert!(s > 6.3 && s < 7.3, "peak speedup = {s}");
 }
 
@@ -184,12 +205,22 @@ fn measured_node_peak_speedup_is_about_87x() {
     let t_task = node.t_prtr_s();
     let prtr_calls = uniform_calls(&node, t_task, n, &vec![false; n]);
     let frtr_calls: Vec<TaskCall> = prtr_calls.iter().map(|c| c.task).collect();
-    let s = run_frtr(&node, &frtr_calls, &ExecCtx::default())
+    let s = run_frtr(
+        &node,
+        &frtr_calls,
+        &FaultPlan::disarmed(),
+        &ExecCtx::default(),
+    )
+    .unwrap()
+    .total_s()
+        / run_prtr(
+            &node,
+            &prtr_calls,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        )
         .unwrap()
-        .total_s()
-        / run_prtr(&node, &prtr_calls, &ExecCtx::default())
-            .unwrap()
-            .total_s();
+        .total_s();
     assert!(s > 80.0 && s < 90.0, "peak speedup = {s}");
 }
 
@@ -202,12 +233,22 @@ fn data_intensive_tasks_cap_at_2x() {
         let t_task = factor * node.t_frtr_s();
         let prtr_calls = uniform_calls(&node, t_task, n, &vec![false; n]);
         let frtr_calls: Vec<TaskCall> = prtr_calls.iter().map(|c| c.task).collect();
-        let s = run_frtr(&node, &frtr_calls, &ExecCtx::default())
+        let s = run_frtr(
+            &node,
+            &frtr_calls,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        )
+        .unwrap()
+        .total_s()
+            / run_prtr(
+                &node,
+                &prtr_calls,
+                &FaultPlan::disarmed(),
+                &ExecCtx::default(),
+            )
             .unwrap()
-            .total_s()
-            / run_prtr(&node, &prtr_calls, &ExecCtx::default())
-                .unwrap()
-                .total_s();
+            .total_s();
         assert!(s <= 2.0 + 0.01, "factor {factor}: speedup = {s}");
         if factor == 1.0 {
             assert!(s > 1.9, "speedup at X_task=1 should approach 2, got {s}");

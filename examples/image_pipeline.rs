@@ -75,9 +75,9 @@ fn main() {
     let markov_calls = to_calls(&prefetched);
     let frtr_calls: Vec<TaskCall> = lru_calls.iter().map(|c| c.task).collect();
 
-    let frtr = run_frtr(&node, &frtr_calls, &ctx).unwrap();
-    let prtr_lru = run_prtr(&node, &lru_calls, &ctx).unwrap();
-    let prtr_markov = run_prtr(&node, &markov_calls, &ctx).unwrap();
+    let frtr = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &ctx).unwrap();
+    let prtr_lru = run_prtr(&node, &lru_calls, &FaultPlan::disarmed(), &ctx).unwrap();
+    let prtr_markov = run_prtr(&node, &markov_calls, &FaultPlan::disarmed(), &ctx).unwrap();
 
     let t_task = frtr_calls[0].task_time_s(&node);
     println!(

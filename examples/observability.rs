@@ -24,15 +24,17 @@ fn main() {
     };
     let mut lru = Lru::new();
     let ctx = ExecCtx::default().with_registry(registry.clone());
-    let (point, timeline) = prtr_bounds::exp::scenario::run_point(
+    let run = prtr_bounds::exp::scenario::run_point(
         &node,
         &spec,
-        7,
+        ctx.seed_for(7),
         &mut lru,
         false,
         node.t_prtr_s(),
+        &FaultPlan::disarmed(),
         &ctx,
     );
+    let (point, timeline) = (run.point, run.prtr.timeline);
 
     println!(
         "Sweep point: X_task = {:.4}, speedup {:.1}x (model {:.1}x)\n",

@@ -48,8 +48,8 @@ fn main() {
         .collect();
     let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
     let ctx = ExecCtx::default();
-    let frtr = run_frtr(&node, &frtr_calls, &ctx).expect("FRTR run");
-    let prtr = run_prtr(&node, &calls, &ctx).expect("PRTR run");
+    let frtr = run_frtr(&node, &frtr_calls, &FaultPlan::disarmed(), &ctx).expect("FRTR run");
+    let prtr = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ctx).expect("PRTR run");
     println!("Simulator, {n} calls at the peak operating point:");
     println!("  FRTR total: {:>9.2} s", frtr.total_s());
     println!("  PRTR total: {:>9.2} s", prtr.total_s());

@@ -65,6 +65,7 @@ pub use hprc_virt as virt;
 pub mod prelude {
     pub use hprc_attr::{AttributionReport, Buckets, RunAttribution};
     pub use hprc_ctx::{Calibration, ExecCtx};
+    pub use hprc_fault::FaultPlan;
     pub use hprc_fpga::bitstream::Bitstream;
     pub use hprc_fpga::device::Device;
     pub use hprc_fpga::floorplan::Floorplan;

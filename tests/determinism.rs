@@ -27,8 +27,8 @@ fn simulator_is_replayable() {
             slot: i % 2,
         })
         .collect();
-    let a = run_prtr(&node, &calls, &ExecCtx::default()).unwrap();
-    let b = run_prtr(&node, &calls, &ExecCtx::default()).unwrap();
+    let a = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
+    let b = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
     assert_eq!(a, b);
 }
 

@@ -44,8 +44,14 @@ fn pipeline_to_speedup() {
         })
         .collect();
     let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
-    let frtr = run_frtr(&node, &frtr_calls, &ExecCtx::default()).unwrap();
-    let prtr = run_prtr(&node, &calls, &ExecCtx::default()).unwrap();
+    let frtr = run_frtr(
+        &node,
+        &frtr_calls,
+        &FaultPlan::disarmed(),
+        &ExecCtx::default(),
+    )
+    .unwrap();
+    let prtr = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
     let s_sim = frtr.total_s() / prtr.total_s();
 
     // 4. Model layer: equation (6) at the same parameters.
@@ -98,7 +104,7 @@ fn prefetching_end_to_end() {
                 }
             })
             .collect();
-        let total = run_prtr(&node, &calls, &ExecCtx::default())
+        let total = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default())
             .unwrap()
             .total_s();
         (outcome.hit_ratio(), total)
@@ -129,7 +135,7 @@ fn configuration_costs_trace_to_frames() {
         hit: false,
         slot: 0,
     }];
-    let report = run_prtr(&node, &calls, &ExecCtx::default()).unwrap();
+    let report = run_prtr(&node, &calls, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
     let timing = &report.calls[0];
     let cfg = (timing.config_end.unwrap() - timing.config_start.unwrap()).as_secs_f64();
     assert!((cfg - node.icap.transfer_time_s(bytes)).abs() < 1e-9);
