@@ -139,7 +139,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Acceptance criterion: with `X_decision = X_control = 0` and
+    /// Acceptance check: with `X_decision = X_control = 0` and
     /// `H = 1` the measured speedup matches Eq (7)'s
     /// `(1 + X_task)/X_task` to full f64 precision.
     #[test]

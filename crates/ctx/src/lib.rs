@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod symbol;
-pub mod timing;
 
 pub use symbol::Symbol;
 

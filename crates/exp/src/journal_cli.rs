@@ -521,4 +521,112 @@ mod tests {
         let (line, a, b) = first_divergence("a", "a\nextra").unwrap();
         assert_eq!((line, a.as_str(), b.as_str()), (2, "<absent>", "extra"));
     }
+
+    mod fuzz {
+        //! `parse` reads journals straight off disk: whatever the text,
+        //! it must return `Ok` or `Err`, never panic or overflow the
+        //! stack. Where the damage determines the outcome (a cut header,
+        //! a moved header, nesting past the limit), that is checked too.
+
+        use super::*;
+        use proptest::prelude::*;
+        use serde_json::MAX_DEPTH;
+
+        /// JSON syntax, the journal's keys and events, multi-byte text.
+        /// Whitespace separates them; a space and a newline are
+        /// fragments too.
+        const TOKENS: &str = r#"
+            { } [ ] , : " \ 0 7 - 1e9 null
+            "schema": "hprc-journal/v1" "experiment": "seed": "account":
+            "ev": "open" "close" "id": "t_ns": é 😀
+        "#;
+
+        fn tokens_text(picks: &[usize]) -> String {
+            let tokens: Vec<&str> = TOKENS.split_whitespace().chain([" ", "\n"]).collect();
+            picks.iter().map(|&i| tokens[i % tokens.len()]).collect()
+        }
+
+        fn lines() -> Vec<String> {
+            sample().lines().map(str::to_string).collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn arbitrary_text_never_panics(
+                picks in proptest::collection::vec(any::<usize>(), 0..96),
+                bytes in proptest::collection::vec(any::<u8>(), 0..96),
+            ) {
+                let tokens = tokens_text(&picks);
+                let _ = parse(&tokens);
+                let _ = parse(&String::from_utf8_lossy(&bytes));
+                let _ = parse(&format!("{}{tokens}", sample()));
+            }
+
+            #[test]
+            fn truncation_fails_inside_the_header_and_parses_at_line_ends(cut in any::<usize>()) {
+                let text = sample();
+                let cut = cut % (text.len() + 1);
+                let head = &text[..cut];
+                let header_end = text.find('\n').unwrap();
+                let at_line_end = cut == text.len() || text.as_bytes()[cut] == b'\n';
+                match parse(head) {
+                    Ok(p) => {
+                        prop_assert!(cut >= header_end, "cut {} inside the header parsed", cut);
+                        prop_assert_eq!(p.records.len() + usize::from(p.account.is_some()),
+                            head.lines().count() - 1);
+                    }
+                    Err(_) => prop_assert!(cut < header_end || !at_line_end, "cut {}", cut),
+                }
+            }
+
+            #[test]
+            fn flipped_bytes_never_panic(flips in proptest::collection::vec((any::<usize>(), 0..8u8), 1..4)) {
+                let mut bytes = sample().into_bytes();
+                for (at, bit) in flips {
+                    let at = at % bytes.len();
+                    bytes[at] ^= 1 << bit;
+                }
+                let _ = parse(&String::from_utf8_lossy(&bytes));
+            }
+
+            #[test]
+            fn reordered_lines_fail_only_when_the_header_moves(a in any::<usize>(), b in any::<usize>()) {
+                let mut lines = lines();
+                let (i, j) = (a % lines.len(), b % lines.len());
+                prop_assume!(lines[i] != lines[j]);
+                lines.swap(i, j);
+                let parsed = parse(&lines.join("\n"));
+                prop_assert_eq!(parsed.is_ok(), i != 0 && j != 0, "swapped {} and {}", i, j);
+            }
+        }
+
+        proptest! {
+            // Each case builds megabyte-long lines; fewer cases keep it quick.
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            #[test]
+            fn deep_nesting_is_an_error_not_an_overflow(
+                shallow in 0..2 * MAX_DEPTH,
+                deep in 100_000..1_000_000usize,
+                objects in any::<bool>(),
+                line in any::<usize>(),
+            ) {
+                let lines = lines();
+                let at = line % lines.len();
+                for depth in [shallow, deep] {
+                    let (open, close) = if objects { ("{\"k\":", "}") } else { ("[", "]") };
+                    let value = format!("{}0{}", open.repeat(depth), close.repeat(depth));
+                    let _ = parse(&value);
+                    let mut damaged = lines.clone();
+                    damaged[at] = format!("{{\"ev\":\"open\",\"args\":{value}}}");
+                    let parsed = parse(&damaged.join("\n"));
+                    if depth >= MAX_DEPTH {
+                        prop_assert!(parsed.is_err(), "depth {} at line {}", depth, at);
+                    }
+                }
+            }
+        }
+    }
 }

@@ -20,7 +20,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod experiments;
 pub mod fleet;
 pub mod journal_cli;

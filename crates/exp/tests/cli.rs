@@ -1,6 +1,6 @@
 //! End-to-end tests of the `hprc-exp` binary: help/usage exit codes,
-//! the `bench` subcommand's artifact, the `--no-delta` no-op, and
-//! `--jobs` invariance of the `.attr.json` attribution artifact.
+//! the `--no-delta` no-op, and `--jobs` invariance of the `.attr.json`
+//! attribution artifact.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -23,7 +23,10 @@ fn help_prints_usage_and_exits_zero() {
         assert!(out.status.success(), "{flag} should exit 0");
         let text = String::from_utf8_lossy(&out.stdout);
         assert!(text.contains("usage: hprc-exp"), "{flag} usage missing");
-        assert!(text.contains("bench"), "{flag} usage should cover bench");
+        assert!(
+            !text.contains("bench"),
+            "{flag} usage should not mention bench"
+        );
         assert!(
             text.contains("attr.json"),
             "{flag} usage should cover attribution"
@@ -82,101 +85,24 @@ fn unknown_flag_and_unknown_id_fail() {
 }
 
 #[test]
-fn bench_writes_schema_stable_report_and_self_check_passes() {
-    let dir = tmp_dir("bench");
-    let report_path = dir.join("bench.json");
+fn bench_is_not_a_subcommand() {
+    // The benchmark lives in perfbench/; `bench` is now just an unknown
+    // experiment id, rejected with the usage before anything runs.
     let out = Command::new(exe())
-        .args(["bench", "--repeat", "1", "--out-file"])
-        .arg(&report_path)
-        .current_dir(&dir)
+        .arg("bench")
         .output()
-        .expect("run bench");
-    assert!(
-        out.status.success(),
-        "bench failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let report = hprc_exp::bench::load(&report_path).expect("valid bench report");
-    assert_eq!(
-        report.schema_version,
-        hprc_exp::bench::BenchReport::SCHEMA_VERSION
-    );
-    assert_eq!(report.entries.len(), hprc_exp::ALL_EXPERIMENTS.len());
-
-    // A fresh run checked against the file it just wrote must pass.
-    let out = Command::new(exe())
-        .args(["bench", "--repeat", "1", "--out-file"])
-        .arg(dir.join("bench2.json"))
-        .arg("--check")
-        .arg(&report_path)
-        .args(["--threshold", "25.0"]) // very generous: CI boxes jitter
-        .current_dir(&dir)
-        .output()
-        .expect("run bench check");
-    assert!(
-        out.status.success(),
-        "self-check failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("bench check passed"));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_check_fails_on_schema_drift() {
-    let dir = tmp_dir("bench-drift");
-    let baseline = dir.join("baseline.json");
-    // A baseline whose experiment set doesn't match: must fail the gate.
-    std::fs::write(
-        &baseline,
-        r#"{"schema_version":2,"date":"20260101","repeat":1,"seed":0,"jobs":1,
-            "total_ms":1.0,"suite_cold_ms":1.0,"suite_warm_ms":1.0,
-            "entries":[{"id":"only-one","p50_ms":1.0,"min_ms":1.0,
-            "max_ms":1.0,"counters":0,"gauges":0,"histograms":0,"spans":1,
-            "counter_total":0,"cold_ms":1.0,"warm_ms":1.0}]}"#,
-    )
-    .unwrap();
-    let out = Command::new(exe())
-        .args(["bench", "--repeat", "1", "--out-file"])
-        .arg(dir.join("bench.json"))
-        .arg("--check")
-        .arg(&baseline)
-        .current_dir(&dir)
-        .output()
-        .expect("run bench check");
-    assert!(!out.status.success(), "schema drift must fail");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("experiment set changed"));
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn bench_check_fails_cleanly_on_missing_baseline() {
-    let dir = tmp_dir("bench-missing");
-    let out = Command::new(exe())
-        .args(["bench", "--repeat", "1", "--out-file"])
-        .arg(dir.join("bench.json"))
-        .args(["--check", "no-such-baseline.json"])
-        .current_dir(&dir)
-        .output()
-        .expect("run bench check");
-    assert!(!out.status.success(), "missing baseline must fail");
+        .expect("run binary");
+    assert!(!out.status.success(), "bench must exit non-zero");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("error:") && stderr.contains("no-such-baseline.json"),
-        "stderr should name the missing baseline: {stderr}"
-    );
-    assert!(
-        !stderr.contains("panicked"),
-        "must be a clean error, not a panic: {stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+    assert!(stderr.contains("unknown experiment: bench"), "{stderr}");
+    assert!(stderr.contains("usage: hprc-exp"), "{stderr}");
 }
 
 #[test]
 fn unparseable_seed_prints_usage_and_fails() {
     for args in [
         &["--seed", "not-a-number", "table1"][..],
-        &["bench", "--seed", "0x12", "--repeat", "1"][..],
+        &["--seed", "0x12", "table1"][..],
     ] {
         let out = Command::new(exe()).args(args).output().expect("run binary");
         assert!(!out.status.success(), "{args:?} must exit non-zero");

@@ -81,11 +81,6 @@ impl Image {
         self.height
     }
 
-    /// Total pixel (= byte) count.
-    pub fn len_bytes(&self) -> usize {
-        self.pixels.len()
-    }
-
     /// Pixel at `(x, y)` without bounds clamping.
     #[inline]
     pub fn get(&self, x: usize, y: usize) -> u8 {

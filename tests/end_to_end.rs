@@ -26,7 +26,7 @@ fn pipeline_to_speedup() {
     assert_eq!(outcome.hit_ratio(), 0.0);
 
     // 3. Execution layer: replay on the simulator.
-    let bytes = img.len_bytes() as u64;
+    let bytes = img.pixels().len() as u64;
     let calls: Vec<PrtrCall> = trace
         .iter()
         .zip(&outcome.outcomes)

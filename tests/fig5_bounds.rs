@@ -6,8 +6,10 @@
 //! exceeds 2. Every simulated sweep point must respect both, within a
 //! 0.1% tolerance (ten times tighter than the model-simulator agreement
 //! `validate` checks). The same peak bound holds for every ICAP variant
-//! of `ext-icap` at its own `X_PRTR`, and at `H ≠ 0` (`ext-prefetch`)
-//! no simulated point beats the model's speedup at its measured `H`.
+//! of `ext-icap`, every PRR layout of `ext-granularity` and every
+//! platform of `ext-platforms` at its own `X_PRTR`, where no simulated
+//! peak beats the model's either; and at `H ≠ 0` (`ext-prefetch`) no
+//! simulated point beats the model's speedup at its measured `H`.
 
 use prtr_bounds::ctx::ExecCtx;
 use prtr_bounds::exp::run_experiment;
@@ -82,4 +84,38 @@ fn ext_prefetch_points_stay_under_the_model() {
             p["hit_ratio"]
         );
     }
+}
+
+/// Rows of `id` keyed by `key`, each reporting `x_prtr` and its model and
+/// simulated peak speedups, must satisfy `sim_peak ≤ 1 + 1/X_PRTR` and
+/// `sim_peak ≤ model_peak`.
+fn peaks_respect_their_own_fig5_bound(id: &str, key: &str, min_rows: usize) {
+    let report = run_experiment(id, &ExecCtx::default()).unwrap();
+    let rows = report.json.as_array().unwrap();
+    assert!(rows.len() >= min_rows, "{id}: too few rows");
+    for row in rows {
+        let name = row[key].as_str().unwrap();
+        let x_prtr = row["x_prtr"].as_f64().unwrap();
+        let model = row["model_peak"].as_f64().unwrap();
+        let s = row["sim_peak"].as_f64().unwrap();
+        let peak = 1.0 + 1.0 / x_prtr;
+        assert!(
+            s <= peak * (1.0 + TOL),
+            "{id} {name}: peak S = {s} exceeds 1 + 1/X_PRTR = {peak}"
+        );
+        assert!(
+            s <= model * (1.0 + TOL),
+            "{id} {name}: peak S = {s} exceeds the model's peak {model}"
+        );
+    }
+}
+
+#[test]
+fn ext_granularity_layouts_respect_their_own_fig5_bound() {
+    peaks_respect_their_own_fig5_bound("ext-granularity", "layout", 3);
+}
+
+#[test]
+fn ext_platforms_rows_respect_their_own_fig5_bound() {
+    peaks_respect_their_own_fig5_bound("ext-platforms", "platform", 3);
 }
