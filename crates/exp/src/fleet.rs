@@ -30,7 +30,7 @@
 use hprc_ctx::ExecCtx;
 use hprc_fault::{splitmix64, FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_fpga::floorplan::Floorplan;
-use hprc_obs::{BudgetAccount, FleetTopology, Journal, RunBudget, ShardedRegistry};
+use hprc_obs::{BudgetAccount, FleetTopology, Journal, RunBudget, ShardedRegistry, SpanId};
 use hprc_sched::policies::Markov;
 use hprc_sched::traces::TraceSpec;
 use hprc_sim::executor::run_prtr;
@@ -182,6 +182,9 @@ fn plan_for(rate: f64, plan_seed: u64) -> FaultPlan {
     }
 }
 
+/// Runs node `i`. Returns its outcome and the id of its
+/// `fleet.node.work` span, the target of the cluster's `dispatch` flow;
+/// the id stays out of [`NodeOutcome`], which the report serializes.
 fn run_node(
     i: usize,
     spec: &FleetSpec,
@@ -190,7 +193,7 @@ fn run_node(
     base_plan_seed: u64,
     kill_plan: &FaultPlan,
     child: &ExecCtx,
-) -> Result<NodeOutcome, FleetError> {
+) -> Result<(NodeOutcome, Option<SpanId>), FleetError> {
     let node_cfg = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
     let trace_seed = splitmix64(base_trace_seed ^ i as u64);
     let plan_seed = splitmix64(base_plan_seed ^ i as u64);
@@ -212,7 +215,7 @@ fn run_node(
     if live == 0 {
         // Killed before the first call: nothing ran, nothing charged.
         child.journal.exit(js, 0);
-        return Ok(NodeOutcome {
+        let outcome = NodeOutcome {
             node: i,
             rack: topo.rack_of(i),
             offered: spec.len as u64,
@@ -224,7 +227,8 @@ fn run_node(
             cut_at: child.budget.cutoff_seq(),
             hit_ratio: 0.0,
             end_ns: 0,
-        });
+        };
+        return Ok((outcome, js));
     }
     let mut policy = Markov::new();
     let sched = hprc_sched::simulate_faulty(
@@ -242,7 +246,7 @@ fn run_node(
     })?;
     child.journal.exit(js, prtr.total.0);
 
-    Ok(NodeOutcome {
+    let outcome = NodeOutcome {
         node: i,
         rack: topo.rack_of(i),
         offered: spec.len as u64,
@@ -254,7 +258,8 @@ fn run_node(
         cut_at: child.budget.cutoff_seq(),
         hit_ratio: sched.base.hit_ratio(),
         end_ns: prtr.total.0,
-    })
+    };
+    Ok((outcome, js))
 }
 
 /// Runs one fleet: fans the nodes out across `ctx.jobs` workers,
@@ -312,7 +317,8 @@ pub fn run_fleet(
         .collect();
 
     let jobs = ctx.effective_jobs().min(n.max(1));
-    let mut slots: Vec<Option<Result<NodeOutcome, FleetError>>> = if jobs <= 1 {
+    type Slot = Option<Result<(NodeOutcome, Option<SpanId>), FleetError>>;
+    let mut slots: Vec<Slot> = if jobs <= 1 {
         children
             .iter()
             .enumerate()
@@ -329,7 +335,7 @@ pub fn run_fleet(
             })
             .collect()
     } else {
-        let mut slots: Vec<Option<Result<NodeOutcome, FleetError>>> = Vec::with_capacity(n);
+        let mut slots: Vec<Slot> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         let slots = Mutex::new(slots);
         let next = AtomicUsize::new(0);
@@ -361,10 +367,12 @@ pub fn run_fleet(
     };
     // The lowest-index node error wins deterministically (slots are
     // drained in index order), regardless of worker interleaving.
-    let outcomes: Vec<NodeOutcome> = slots
+    let (outcomes, work_spans): (Vec<NodeOutcome>, Vec<Option<SpanId>>) = slots
         .iter_mut()
         .map(|slot| slot.take().expect("every node completed"))
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<Vec<_>, _>>()?
+        .into_iter()
+        .unzip();
 
     // Hierarchical node → rack → cluster merge, index-ordered at both
     // levels (== the flat merge, by associativity; pinned by proptests).
@@ -384,12 +392,8 @@ pub fn run_fleet(
             .open("fleet.node", run_span, t0, 1 + out.rack as u64);
         ctx.journal.close(span, t0 + out.end_ns);
         if topo.is_witness(i) {
-            let work = children[i].journal.records().iter().find_map(|r| match r {
-                hprc_obs::JournalRecord::Open { id, .. } => Some(*id),
-                _ => None,
-            });
             ctx.journal.merge_from(&children[i].journal);
-            ctx.journal.flow(d, work, "dispatch");
+            ctx.journal.flow(d, work_spans[i], "dispatch");
         }
     }
     ctx.journal.exit(run_span, makespan_ns);
@@ -534,13 +538,13 @@ mod tests {
         let recs = ctx.journal.records();
         let dispatches = recs
             .iter()
-            .filter(|r| matches!(r, hprc_obs::JournalRecord::Event { name, .. } if name == "fleet.dispatch"))
+            .filter(|r| matches!(r, hprc_obs::JournalRecord::Event { name, .. } if *name == "fleet.dispatch"))
             .count();
         assert_eq!(dispatches, 24, "every node dispatched");
         let flows = recs
             .iter()
             .filter(
-                |r| matches!(r, hprc_obs::JournalRecord::Flow { kind, .. } if kind == "dispatch"),
+                |r| matches!(r, hprc_obs::JournalRecord::Flow { kind, .. } if *kind == "dispatch"),
             )
             .count();
         assert_eq!(flows, topo.racks(), "one dispatch arrow per witness");

@@ -5,8 +5,9 @@
 //!   counts, fault-chain count, metric totals, and the resource
 //!   accounting footer, as a human-readable report.
 //! * `diff A B` — first divergent line between two journals (exit 0
-//!   when byte-identical, 1 otherwise). Because journals are
-//!   deterministic, this is the canonical `--jobs` invariance check.
+//!   when byte-identical, line endings included; 1 otherwise). Because
+//!   journals are deterministic, this is the canonical `--jobs`
+//!   invariance check.
 //! * `replay-check FILE...` — re-runs each journal's experiment from
 //!   the `(experiment, seed)` recorded in its header and verifies the
 //!   regenerated journal is byte-identical to the file.
@@ -234,26 +235,45 @@ fn summarize(path: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// First divergent line between two texts: `(line number, a, b)`.
-/// Missing lines surface as `"<absent>"`.
+/// First divergence between two texts: `(line number, a, b)`. Lines
+/// compare by text first, so a changed record is reported as itself;
+/// missing lines surface as `"<absent>"`. When every line's text
+/// matches but the bytes do not (a dropped final newline, CRLF line
+/// endings), the first line whose bytes differ is reported quoted, with
+/// its terminator spelled out: `"a\r\n"` against `"a\n"`.
 fn first_divergence(a: &str, b: &str) -> Option<(usize, String, String)> {
-    let mut la = a.lines();
-    let mut lb = b.lines();
-    let mut i = 0;
-    loop {
-        i += 1;
-        match (la.next(), lb.next()) {
-            (None, None) => return None,
-            (x, y) if x == y => {}
-            (x, y) => {
-                return Some((
-                    i,
-                    x.unwrap_or("<absent>").to_string(),
-                    y.unwrap_or("<absent>").to_string(),
-                ))
-            }
+    // A line's text, without its `\n` or `\r\n`.
+    fn text(line: &str) -> &str {
+        match line.strip_suffix('\n') {
+            Some(l) => l.strip_suffix('\r').unwrap_or(l),
+            None => line,
         }
     }
+    let mut la = a.split_inclusive('\n');
+    let mut lb = b.split_inclusive('\n');
+    let mut bytes = None;
+    for i in 1.. {
+        let (x, y) = (la.next(), lb.next());
+        if x.is_none() && y.is_none() {
+            break;
+        }
+        let (tx, ty) = (x.map(text), y.map(text));
+        if tx != ty {
+            return Some((
+                i,
+                tx.unwrap_or("<absent>").to_string(),
+                ty.unwrap_or("<absent>").to_string(),
+            ));
+        }
+        if x != y && bytes.is_none() {
+            bytes = Some((
+                i,
+                format!("{:?}", x.unwrap_or("")),
+                format!("{:?}", y.unwrap_or("")),
+            ));
+        }
+    }
+    bytes
 }
 
 fn diff(path_a: &str, path_b: &str) -> Result<bool, String> {
@@ -307,9 +327,9 @@ fn usage() -> &'static str {
      \n\
      summarize     per-class span time, top spans, flow kinds, fault chains,\n\
      \x20             metric totals, and the accounting footer of one journal\n\
-     diff          compare two journals line-by-line; exit 1 on the first\n\
-     \x20             divergence (journals are deterministic, so byte equality\n\
-     \x20             is the expected outcome at any --jobs)\n\
+     diff          compare two journals byte for byte; exit 1 and name the\n\
+     \x20             first divergent line (journals are deterministic, so byte\n\
+     \x20             equality is the expected outcome at any --jobs)\n\
      replay-check  re-run each journal's experiment from its recorded\n\
      \x20             (experiment, seed) header and require byte-identical\n\
      \x20             regeneration"
@@ -520,6 +540,21 @@ mod tests {
         assert_eq!((line, a.as_str(), b.as_str()), (2, "b", "x"));
         let (line, a, b) = first_divergence("a", "a\nextra").unwrap();
         assert_eq!((line, a.as_str(), b.as_str()), (2, "<absent>", "extra"));
+    }
+
+    #[test]
+    fn first_divergence_compares_bytes_not_just_lines() {
+        let (line, a, b) = first_divergence("a\n", "a").unwrap();
+        assert_eq!((line, a.as_str(), b.as_str()), (1, r#""a\n""#, r#""a""#));
+        let (line, a, b) = first_divergence("x\na\r\n", "x\na\n").unwrap();
+        assert_eq!(
+            (line, a.as_str(), b.as_str()),
+            (2, r#""a\r\n""#, r#""a\n""#)
+        );
+        // A changed line still wins over an earlier terminator change.
+        let (line, ..) = first_divergence("a\r\nb\n", "a\nc\n").unwrap();
+        assert_eq!(line, 2);
+        assert_eq!(first_divergence("a\r\n", "a\r\n"), None);
     }
 
     mod fuzz {

@@ -303,6 +303,35 @@ fn journal_cli_replay_check_diff_and_usage() {
         "forged header must fail replay-check"
     );
 
+    // Both commands compare bytes: a journal cut by its final byte (the
+    // last newline) or rewritten with CRLF endings has the same lines
+    // but not the same bytes, and fails both.
+    let cut = dir.join("cut.journal.jsonl");
+    std::fs::write(&cut, &text.as_bytes()[..text.len() - 1]).unwrap();
+    let crlf = dir.join("crlf.journal.jsonl");
+    std::fs::write(&crlf, text.replace('\n', "\r\n")).unwrap();
+    for damaged in [&cut, &crlf] {
+        let out = Command::new(exe())
+            .args(["journal", "replay-check"])
+            .arg(damaged)
+            .output()
+            .expect("run replay-check");
+        assert!(
+            !out.status.success(),
+            "{} must fail replay-check: {}",
+            damaged.display(),
+            String::from_utf8_lossy(&out.stdout)
+        );
+        assert!(String::from_utf8_lossy(&out.stdout).contains("replay-check FAILED"));
+        let out = Command::new(exe())
+            .args(["journal", "diff"])
+            .arg(&jpath)
+            .arg(damaged)
+            .output()
+            .expect("run diff");
+        assert!(!out.status.success(), "{} must diff", damaged.display());
+    }
+
     // summarize renders the causal report.
     let out = Command::new(exe())
         .args(["journal", "summarize"])

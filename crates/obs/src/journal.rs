@@ -28,9 +28,20 @@
 //! minting fresh ids *in the same order the reference path would* and
 //! remapping intra-cycle references, so the fast path's journal is
 //! byte-identical to the reference executor's.
+//!
+//! # Cost
+//!
+//! A traced run stores millions of records, so the record path neither
+//! allocates nor hashes. [`JournalRecord`] is `Copy` with `&'static str`
+//! names; a name built at run time goes through `hprc_ctx::Symbol`,
+//! whose interned text lives for the process. Storing, merging, and
+//! replaying records are memcpys, and [`Journal::replay_cycle`]
+//! resolves the block's references once per call rather than once per
+//! copy. [`Journal::to_jsonl`] streams from the locked record slice
+//! into one pre-sized buffer: digits two at a time from a table, and a
+//! name with nothing to escape in one slice copy.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -65,7 +76,11 @@ fn derive_salt(salt: u64, tag: u64, index: u64) -> u64 {
 }
 
 /// One entry in the journal's append-only log.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Names are `&'static str` so a record is `Copy`: storing, replaying,
+/// merging, and serializing records never allocates. A name built at
+/// run time goes through `hprc_ctx::Symbol::intern(..).as_str()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JournalRecord {
     /// A span opened: it has duration and may parent other records.
     Open {
@@ -74,7 +89,7 @@ pub enum JournalRecord {
         /// Enclosing span, if any.
         parent: Option<SpanId>,
         /// Span class name (e.g. `sim.run_prtr`, a task name, `recovery`).
-        name: String,
+        name: &'static str,
         /// Simulated open time, nanoseconds.
         t_ns: u64,
         /// Chrome lane (tid) the span renders on.
@@ -94,7 +109,7 @@ pub enum JournalRecord {
         /// Enclosing span, if any.
         parent: Option<SpanId>,
         /// Event class name (e.g. `decide`, `configure`, `execute`).
-        name: String,
+        name: &'static str,
         /// Simulated time, nanoseconds.
         t_ns: u64,
         /// Chrome lane (tid) the event renders on.
@@ -111,12 +126,12 @@ pub enum JournalRecord {
         /// `escalate`; preemptive schedules add `preempt` (execution →
         /// context-save), `save` (context-save → host context buffer),
         /// and `restore` (host context buffer → context write-back).
-        kind: String,
+        kind: &'static str,
     },
     /// A metric delta attributed to this point in the log.
     Metric {
         /// Metric name.
-        name: String,
+        name: &'static str,
         /// Amount added.
         delta: u64,
     },
@@ -160,6 +175,20 @@ struct State {
 }
 
 impl State {
+    fn new(salt: u64) -> Self {
+        State {
+            salt,
+            seq: 0,
+            budget: None,
+            would: 0,
+            max_t_ns: 0,
+            records: Vec::new(),
+            stack: Vec::new(),
+            budget_account: None,
+            delta_account: None,
+        }
+    }
+
     fn next_id(&mut self) -> SpanId {
         let id = SpanId(mix(self.salt, self.seq));
         self.seq += 1;
@@ -176,6 +205,135 @@ impl State {
         if self.budget.is_none_or(|b| (self.records.len() as u64) < b) {
             self.records.push(rec);
         }
+    }
+
+    /// How many more records the budget lets this journal store.
+    fn room(&self) -> usize {
+        self.budget.map_or(usize::MAX, |b| {
+            usize::try_from(b)
+                .unwrap_or(usize::MAX)
+                .saturating_sub(self.records.len())
+        })
+    }
+
+    /// [`Journal::to_jsonl`], written straight from the stored records.
+    /// It builds bytes rather than a `String`, so a number is one slice
+    /// copy with no UTF-8 check; one check at the end covers the buffer.
+    fn to_jsonl(&self, experiment: &str, seed: u64) -> String {
+        let mut out = Vec::with_capacity(JSONL_BYTES_PER_RECORD * (self.records.len() + 2));
+        out.extend_from_slice(b"{\"schema\":\"");
+        out.extend_from_slice(JOURNAL_SCHEMA.as_bytes());
+        out.extend_from_slice(b"\",\"experiment\":");
+        push_quoted(&mut out, experiment);
+        out.extend_from_slice(b",\"seed\":");
+        push_u64(&mut out, seed);
+        out.extend_from_slice(b"}\n");
+        for rec in &self.records {
+            match *rec {
+                JournalRecord::Open {
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                    tid,
+                } => push_span_line(
+                    &mut out,
+                    b"{\"ev\":\"open\",\"id\":",
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                    tid,
+                ),
+                JournalRecord::Event {
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                    tid,
+                } => push_span_line(
+                    &mut out,
+                    b"{\"ev\":\"event\",\"id\":",
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                    tid,
+                ),
+                JournalRecord::Close { id, t_ns } => {
+                    out.extend_from_slice(b"{\"ev\":\"close\",\"id\":");
+                    push_u64(&mut out, id.0);
+                    out.extend_from_slice(b",\"t_ns\":");
+                    push_u64(&mut out, t_ns);
+                    out.extend_from_slice(b"}\n");
+                }
+                JournalRecord::Flow { from, to, kind } => {
+                    out.extend_from_slice(b"{\"ev\":\"flow\",\"from\":");
+                    push_u64(&mut out, from.0);
+                    out.extend_from_slice(b",\"to\":");
+                    push_u64(&mut out, to.0);
+                    out.extend_from_slice(b",\"kind\":");
+                    push_quoted(&mut out, kind);
+                    out.extend_from_slice(b"}\n");
+                }
+                JournalRecord::Metric { name, delta } => {
+                    out.extend_from_slice(b"{\"ev\":\"metric\",\"name\":");
+                    push_quoted(&mut out, name);
+                    out.extend_from_slice(b",\"delta\":");
+                    push_u64(&mut out, delta);
+                    out.extend_from_slice(b"}\n");
+                }
+            }
+        }
+        let stored = self.records.len() as u64;
+        let bytes = out.len() as u64;
+        out.extend_from_slice(b"{\"account\":{");
+        push_fields(
+            &mut out,
+            &[
+                ("events", Some(stored)),
+                ("dropped", Some(self.would - stored)),
+                ("bytes", Some(bytes)),
+                ("sim_ns", Some(self.max_t_ns)),
+            ],
+        );
+        if let Some(b) = self.budget_account {
+            out.extend_from_slice(b",\"budget\":{");
+            push_fields(
+                &mut out,
+                &[
+                    ("max_events", b.max_events),
+                    ("max_sim_ns", b.max_sim_ns),
+                    ("charged_events", Some(b.charged_events)),
+                    ("charged_sim_ns", Some(b.charged_sim_ns)),
+                    ("would_have_run", Some(b.would_have_run)),
+                    ("cutoff_seq", b.cutoff_seq),
+                    ("runs_cut", Some(b.runs_cut)),
+                ],
+            );
+            out.push(b'}');
+        }
+        if let Some(d) = self.delta_account {
+            out.extend_from_slice(b",\"delta\":{");
+            push_fields(
+                &mut out,
+                &[
+                    ("lookups", Some(d.lookups)),
+                    ("full_hits", Some(d.full_hits)),
+                    ("resumes", Some(d.resumes)),
+                    ("misses", Some(d.misses)),
+                    ("calls_replayed", Some(d.calls_replayed)),
+                    ("calls_resimulated", Some(d.calls_resimulated)),
+                    ("stored", Some(d.stored)),
+                    ("evictions", Some(d.evictions)),
+                    ("entries", Some(d.entries)),
+                    ("bytes_held", Some(d.bytes_held)),
+                ],
+            );
+            out.push(b'}');
+        }
+        out.extend_from_slice(b"}}\n");
+        String::from_utf8(out).expect("JSONL is built from UTF-8 text")
     }
 }
 
@@ -195,17 +353,7 @@ impl Journal {
 
     /// A live journal whose ids derive from `salt`.
     pub fn new(salt: u64) -> Self {
-        Journal(Some(Arc::new(Mutex::new(State {
-            salt,
-            seq: 0,
-            budget: None,
-            would: 0,
-            max_t_ns: 0,
-            records: Vec::new(),
-            stack: Vec::new(),
-            budget_account: None,
-            delta_account: None,
-        }))))
+        Journal(Some(Arc::new(Mutex::new(State::new(salt)))))
     }
 
     /// Caps *storage* at `budget` records. Ids keep advancing past the
@@ -278,7 +426,7 @@ impl Journal {
 
     /// Opens a span parented to the innermost [`enter`](Journal::enter)ed
     /// span and pushes it on the enter stack.
-    pub fn enter(&self, name: &str, t_ns: u64, tid: u64) -> Option<SpanId> {
+    pub fn enter(&self, name: &'static str, t_ns: u64, tid: u64) -> Option<SpanId> {
         let cell = self.0.as_ref()?;
         let mut s = cell.lock();
         let parent = s.stack.last().copied();
@@ -286,7 +434,7 @@ impl Journal {
         s.offer(JournalRecord::Open {
             id,
             parent,
-            name: name.to_string(),
+            name,
             t_ns,
             tid,
         });
@@ -308,14 +456,20 @@ impl Journal {
     }
 
     /// Opens a span under an explicit parent (no enter-stack effect).
-    pub fn open(&self, name: &str, parent: Option<SpanId>, t_ns: u64, tid: u64) -> Option<SpanId> {
+    pub fn open(
+        &self,
+        name: &'static str,
+        parent: Option<SpanId>,
+        t_ns: u64,
+        tid: u64,
+    ) -> Option<SpanId> {
         let cell = self.0.as_ref()?;
         let mut s = cell.lock();
         let id = s.next_id();
         s.offer(JournalRecord::Open {
             id,
             parent,
-            name: name.to_string(),
+            name,
             t_ns,
             tid,
         });
@@ -331,14 +485,20 @@ impl Journal {
     }
 
     /// Records a point event; returns its id for flow linking.
-    pub fn event(&self, name: &str, parent: Option<SpanId>, t_ns: u64, tid: u64) -> Option<SpanId> {
+    pub fn event(
+        &self,
+        name: &'static str,
+        parent: Option<SpanId>,
+        t_ns: u64,
+        tid: u64,
+    ) -> Option<SpanId> {
         let cell = self.0.as_ref()?;
         let mut s = cell.lock();
         let id = s.next_id();
         s.offer(JournalRecord::Event {
             id,
             parent,
-            name: name.to_string(),
+            name,
             t_ns,
             tid,
         });
@@ -346,26 +506,19 @@ impl Journal {
     }
 
     /// Records a causal edge; a no-op unless both endpoints exist.
-    pub fn flow(&self, from: Option<SpanId>, to: Option<SpanId>, kind: &str) {
+    pub fn flow(&self, from: Option<SpanId>, to: Option<SpanId>, kind: &'static str) {
         let (Some(cell), Some(from), Some(to)) = (self.0.as_ref(), from, to) else {
             return;
         };
-        cell.lock().offer(JournalRecord::Flow {
-            from,
-            to,
-            kind: kind.to_string(),
-        });
+        cell.lock().offer(JournalRecord::Flow { from, to, kind });
     }
 
     /// Records a metric delta.
-    pub fn metric(&self, name: &str, delta: u64) {
+    pub fn metric(&self, name: &'static str, delta: u64) {
         let Some(cell) = self.0.as_ref() else {
             return;
         };
-        cell.lock().offer(JournalRecord::Metric {
-            name: name.to_string(),
-            delta,
-        });
+        cell.lock().offer(JournalRecord::Metric { name, delta });
     }
 
     /// Captures the current log position for
@@ -391,72 +544,103 @@ impl Journal {
     /// to records outside the block (e.g. the enclosing run span) pass
     /// through unchanged. This is the fast-path executors' journal dual
     /// of their timeline `push_repeat`.
+    ///
+    /// References are resolved once per call, so each copy is a plain
+    /// pass over the block: the `j`-th id a copy mints is
+    /// `mix(salt, base + j)`, with `base` the copy's first sequence number.
     pub fn replay_cycle(&self, mark: JournalMark, times: u64, shift_ns: u64) {
         let Some(cell) = self.0.as_ref() else {
             return;
         };
         let mut s = cell.lock();
         let start = mark.stored.min(s.records.len());
-        let block: Vec<JournalRecord> = s.records[start..].to_vec();
+        let len = s.records.len() - start;
         // Offers the budget suppressed can't be copied, but the
         // reference path would still have offered them: account for
         // the shortfall so `dropped` stays honest under a budget.
-        let missed = (s.would - mark.would).saturating_sub(block.len() as u64);
+        let missed = (s.would - mark.would).saturating_sub(len as u64);
+
+        // Slot 0 resolves the record's own id (always minted for an
+        // `Open`/`Event`), a `Close`'s id, or a flow's `from`; slot 1 a
+        // parent or a flow's `to`. A reference resolves to a mint only
+        // when that record came earlier in the block (or is the record
+        // itself), as it would while the reference path walks the cycle.
+        let mut minted: HashMap<SpanId, u64> = HashMap::new();
+        let mut mints = 0u64;
+        let mut refs: Vec<[Ref; 2]> = Vec::with_capacity(len);
+        let resolve = |minted: &HashMap<SpanId, u64>, id: SpanId| {
+            minted.get(&id).map_or(Ref::Keep, |&j| Ref::Mint(j))
+        };
+        for rec in &s.records[start..] {
+            refs.push(match *rec {
+                JournalRecord::Open { id, parent, .. }
+                | JournalRecord::Event { id, parent, .. } => {
+                    minted.insert(id, mints);
+                    let own = Ref::Mint(mints);
+                    mints += 1;
+                    [own, parent.map_or(Ref::Keep, |p| resolve(&minted, p))]
+                }
+                JournalRecord::Close { id, .. } => [resolve(&minted, id), Ref::Keep],
+                JournalRecord::Flow { from, to, .. } => {
+                    [resolve(&minted, from), resolve(&minted, to)]
+                }
+                JournalRecord::Metric { .. } => [Ref::Keep; 2],
+            });
+        }
+
+        let copies = usize::try_from(times).unwrap_or(usize::MAX);
+        let room = s.room();
+        s.records.reserve(len.saturating_mul(copies).min(room));
+        let salt = s.salt;
         for k in 1..=times {
             let off = k.saturating_mul(shift_ns);
-            let mut map: HashMap<SpanId, SpanId> = HashMap::new();
-            for rec in &block {
-                let new = match rec {
+            let base = s.seq;
+            let at = |r: Ref, id: SpanId| match r {
+                Ref::Keep => id,
+                Ref::Mint(j) => SpanId(mix(salt, base + j)),
+            };
+            for (i, &[a, b]) in refs.iter().enumerate() {
+                let copy = match s.records[start + i] {
                     JournalRecord::Open {
                         id,
                         parent,
                         name,
                         t_ns,
                         tid,
-                    } => {
-                        let nid = s.next_id();
-                        map.insert(*id, nid);
-                        JournalRecord::Open {
-                            id: nid,
-                            parent: parent.map(|p| *map.get(&p).unwrap_or(&p)),
-                            name: name.clone(),
-                            t_ns: t_ns + off,
-                            tid: *tid,
-                        }
-                    }
+                    } => JournalRecord::Open {
+                        id: at(a, id),
+                        parent: parent.map(|p| at(b, p)),
+                        name,
+                        t_ns: t_ns + off,
+                        tid,
+                    },
                     JournalRecord::Event {
                         id,
                         parent,
                         name,
                         t_ns,
                         tid,
-                    } => {
-                        let nid = s.next_id();
-                        map.insert(*id, nid);
-                        JournalRecord::Event {
-                            id: nid,
-                            parent: parent.map(|p| *map.get(&p).unwrap_or(&p)),
-                            name: name.clone(),
-                            t_ns: t_ns + off,
-                            tid: *tid,
-                        }
-                    }
+                    } => JournalRecord::Event {
+                        id: at(a, id),
+                        parent: parent.map(|p| at(b, p)),
+                        name,
+                        t_ns: t_ns + off,
+                        tid,
+                    },
                     JournalRecord::Close { id, t_ns } => JournalRecord::Close {
-                        id: *map.get(id).unwrap_or(id),
+                        id: at(a, id),
                         t_ns: t_ns + off,
                     },
                     JournalRecord::Flow { from, to, kind } => JournalRecord::Flow {
-                        from: *map.get(from).unwrap_or(from),
-                        to: *map.get(to).unwrap_or(to),
-                        kind: kind.clone(),
+                        from: at(a, from),
+                        to: at(b, to),
+                        kind,
                     },
-                    JournalRecord::Metric { name, delta } => JournalRecord::Metric {
-                        name: name.clone(),
-                        delta: *delta,
-                    },
+                    metric @ JournalRecord::Metric { .. } => metric,
                 };
-                s.offer(new);
+                s.offer(copy);
             }
+            s.seq += mints;
             s.would += missed;
         }
     }
@@ -480,11 +664,8 @@ impl Journal {
         if cmax > s.max_t_ns {
             s.max_t_ns = cmax;
         }
-        for rec in recs {
-            if s.budget.is_none_or(|b| (s.records.len() as u64) < b) {
-                s.records.push(rec);
-            }
-        }
+        let room = s.room();
+        s.records.extend_from_slice(&recs[..recs.len().min(room)]);
     }
 
     /// A snapshot of the stored records.
@@ -502,101 +683,10 @@ impl Journal {
     /// a [`BudgetAccount`] is attached, a nested `budget` object with
     /// the run-budget caps, charges, would-have-run tally, and cutoff).
     pub fn to_jsonl(&self, experiment: &str, seed: u64) -> String {
-        let (records, would, max_t, budget, delta) = match &self.0 {
-            Some(cell) => {
-                let s = cell.lock();
-                (
-                    s.records.clone(),
-                    s.would,
-                    s.max_t_ns,
-                    s.budget_account,
-                    s.delta_account,
-                )
-            }
-            None => (Vec::new(), 0, 0, None, None),
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            r#"{{"schema":"{JOURNAL_SCHEMA}","experiment":"{}","seed":{seed}}}"#,
-            esc(experiment)
-        );
-        for rec in &records {
-            match rec {
-                JournalRecord::Open {
-                    id,
-                    parent,
-                    name,
-                    t_ns,
-                    tid,
-                } => write_span_line(&mut out, "open", *id, *parent, name, *t_ns, *tid),
-                JournalRecord::Event {
-                    id,
-                    parent,
-                    name,
-                    t_ns,
-                    tid,
-                } => write_span_line(&mut out, "event", *id, *parent, name, *t_ns, *tid),
-                JournalRecord::Close { id, t_ns } => {
-                    let _ = writeln!(out, r#"{{"ev":"close","id":{},"t_ns":{t_ns}}}"#, id.0);
-                }
-                JournalRecord::Flow { from, to, kind } => {
-                    let _ = writeln!(
-                        out,
-                        r#"{{"ev":"flow","from":{},"to":{},"kind":"{}"}}"#,
-                        from.0,
-                        to.0,
-                        esc(kind)
-                    );
-                }
-                JournalRecord::Metric { name, delta } => {
-                    let _ = writeln!(
-                        out,
-                        r#"{{"ev":"metric","name":"{}","delta":{delta}}}"#,
-                        esc(name)
-                    );
-                }
-            }
+        match &self.0 {
+            Some(cell) => cell.lock().to_jsonl(experiment, seed),
+            None => State::new(0).to_jsonl(experiment, seed),
         }
-        let stored = records.len() as u64;
-        let bytes = out.len();
-        let _ = write!(
-            out,
-            r#"{{"account":{{"events":{stored},"dropped":{},"bytes":{bytes},"sim_ns":{max_t}"#,
-            would - stored
-        );
-        if let Some(b) = budget {
-            let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
-            let _ = write!(
-                out,
-                r#","budget":{{"max_events":{},"max_sim_ns":{},"charged_events":{},"charged_sim_ns":{},"would_have_run":{},"cutoff_seq":{},"runs_cut":{}}}"#,
-                opt(b.max_events),
-                opt(b.max_sim_ns),
-                b.charged_events,
-                b.charged_sim_ns,
-                b.would_have_run,
-                opt(b.cutoff_seq),
-                b.runs_cut
-            );
-        }
-        if let Some(d) = delta {
-            let _ = write!(
-                out,
-                r#","delta":{{"lookups":{},"full_hits":{},"resumes":{},"misses":{},"calls_replayed":{},"calls_resimulated":{},"stored":{},"evictions":{},"entries":{},"bytes_held":{}}}"#,
-                d.lookups,
-                d.full_hits,
-                d.resumes,
-                d.misses,
-                d.calls_replayed,
-                d.calls_resimulated,
-                d.stored,
-                d.evictions,
-                d.entries,
-                d.bytes_held
-            );
-        }
-        out.push_str("}}\n");
-        out
     }
 
     /// Exports the flow links as paired Chrome flow events
@@ -609,11 +699,11 @@ impl Journal {
             t_ns: u64,
             tid: u64,
             parent: Option<SpanId>,
-            name: String,
+            name: &'static str,
         }
         let records = self.records();
         let mut nodes: HashMap<SpanId, Node> = HashMap::new();
-        for rec in &records {
+        for &rec in &records {
             if let JournalRecord::Open {
                 id,
                 parent,
@@ -630,12 +720,12 @@ impl Journal {
             } = rec
             {
                 nodes.insert(
-                    *id,
+                    id,
                     Node {
-                        t_ns: *t_ns,
-                        tid: *tid,
-                        parent: *parent,
-                        name: name.clone(),
+                        t_ns,
+                        tid,
+                        parent,
+                        name,
                     },
                 );
             }
@@ -659,12 +749,12 @@ impl Journal {
         };
         let mut out = Vec::new();
         let mut flow_idx = 0u64;
-        for rec in &records {
+        for &rec in &records {
             if let JournalRecord::Flow { from, to, kind } = rec {
-                let (Some(a), Some(b)) = (nodes.get(from), nodes.get(to)) else {
+                let (Some(a), Some(b)) = (nodes.get(&from), nodes.get(&to)) else {
                     continue;
                 };
-                if !within(*from) || !within(*to) {
+                if !within(from) || !within(to) {
                     continue;
                 }
                 out.push(ChromeEvent::flow_start(
@@ -697,13 +787,13 @@ impl Journal {
     pub fn chrome_span_events(&self, pid: u64) -> Vec<ChromeEvent> {
         let records = self.records();
         let mut close_ns: HashMap<SpanId, u64> = HashMap::new();
-        for rec in &records {
+        for &rec in &records {
             if let JournalRecord::Close { id, t_ns } = rec {
-                close_ns.entry(*id).or_insert(*t_ns);
+                close_ns.entry(id).or_insert(t_ns);
             }
         }
         let mut out = Vec::new();
-        for rec in &records {
+        for &rec in &records {
             match rec {
                 JournalRecord::Open {
                     id,
@@ -712,19 +802,19 @@ impl Journal {
                     tid,
                     ..
                 } => {
-                    let end = close_ns.get(id).copied().unwrap_or(*t_ns).max(*t_ns);
+                    let end = close_ns.get(&id).copied().unwrap_or(t_ns).max(t_ns);
                     out.push(ChromeEvent::complete(
                         name,
                         t_ns / 1_000,
                         (end - t_ns) / 1_000,
                         pid,
-                        *tid,
+                        tid,
                     ));
                 }
                 JournalRecord::Event {
                     name, t_ns, tid, ..
                 } => {
-                    out.push(ChromeEvent::complete(name, t_ns / 1_000, 0, pid, *tid));
+                    out.push(ChromeEvent::complete(name, t_ns / 1_000, 0, pid, tid));
                 }
                 _ => {}
             }
@@ -733,45 +823,129 @@ impl Journal {
     }
 }
 
-fn write_span_line(
-    out: &mut String,
-    ev: &str,
+/// How a block reference resolves in every copy [`Journal::replay_cycle`]
+/// makes: `Keep` passes the original id through, `Mint(j)` takes the id
+/// the copy mints for the block's `j`-th `Open`/`Event`.
+#[derive(Clone, Copy)]
+enum Ref {
+    Keep,
+    Mint(u64),
+}
+
+/// Output bytes reserved per record: the mean line of every journal in
+/// a seed-0 `all` is 97–99 bytes, so one allocation suffices.
+const JSONL_BYTES_PER_RECORD: usize = 104;
+
+/// `"00" "01" … "99"`: two decimal digits per table step.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Appends `v` in decimal, two digits per step.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let d = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    }
+    if v >= 10 {
+        let d = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[d..d + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Appends `"key":value` pairs, comma-separated; `None` is `null`.
+fn push_fields(out: &mut Vec<u8>, fields: &[(&str, Option<u64>)]) {
+    for (i, (key, v)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.push(b'"');
+        out.extend_from_slice(key.as_bytes());
+        out.extend_from_slice(b"\":");
+        match v {
+            Some(v) => push_u64(out, *v),
+            None => out.extend_from_slice(b"null"),
+        }
+    }
+}
+
+/// Appends `s` JSON-escaped, without quotes: `"`, `\` and the control
+/// characters below U+0020 are escaped as serde_json does; everything
+/// else, U+007F and non-ASCII included, is copied as is. A string with
+/// nothing to escape is copied in one piece.
+fn push_escaped(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| b < 0x20 || b == b'"' || b == b'\\')
+    {
+        out.extend_from_slice(&rest.as_bytes()[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            c => {
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(c >> 4)]);
+                out.push(HEX[usize::from(c & 0xf)]);
+            }
+        }
+        // The escaped byte is ASCII, so `at + 1` is a char boundary.
+        rest = &rest[at + 1..];
+    }
+    out.extend_from_slice(rest.as_bytes());
+}
+
+/// Appends a quoted, escaped JSON string. Shared with the run-manifest
+/// writer, which hand-rolls JSONL the same way.
+pub(crate) fn push_quoted(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    push_escaped(out, s);
+    out.push(b'"');
+}
+
+/// Appends an `open`/`event` line, `prefix` being `{"ev":"<kind>","id":`.
+fn push_span_line(
+    out: &mut Vec<u8>,
+    prefix: &[u8],
     id: SpanId,
     parent: Option<SpanId>,
     name: &str,
     t_ns: u64,
     tid: u64,
 ) {
-    let _ = write!(out, r#"{{"ev":"{ev}","id":{}"#, id.0);
+    out.extend_from_slice(prefix);
+    push_u64(out, id.0);
     if let Some(p) = parent {
-        let _ = write!(out, r#","parent":{}"#, p.0);
+        out.extend_from_slice(b",\"parent\":");
+        push_u64(out, p.0);
     }
-    let _ = writeln!(
-        out,
-        r#","name":"{}","t_ns":{t_ns},"tid":{tid}}}"#,
-        esc(name)
-    );
-}
-
-/// Minimal JSON string escaper (names are short identifiers; this
-/// matches serde_json's escaping for the characters it handles). Shared
-/// with the run-manifest writer, which hand-rolls JSONL the same way.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+    out.extend_from_slice(b",\"name\":");
+    push_quoted(out, name);
+    out.extend_from_slice(b",\"t_ns\":");
+    push_u64(out, t_ns);
+    out.extend_from_slice(b",\"tid\":");
+    push_u64(out, tid);
+    out.extend_from_slice(b"}\n");
 }
 
 #[cfg(test)]
@@ -1080,5 +1254,339 @@ mod tests {
         assert_eq!(prtr_only.len(), 2);
         assert_eq!(prtr_only[0].ts, 4); // 4_000 ns floored to µs
         assert_eq!(prtr_only[1].ts, 5);
+    }
+
+    /// The oracle: the `write!`-based serializer `to_jsonl` replaced,
+    /// kept verbatim so the streaming writer is checked byte for byte
+    /// against code that shares none of its formatting.
+    fn reference_jsonl(j: &Journal, experiment: &str, seed: u64) -> String {
+        use std::fmt::Write as _;
+
+        fn esc(s: &str) -> String {
+            let mut out = String::with_capacity(s.len());
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => {
+                        let _ = write!(out, "\\u{:04x}", c as u32);
+                    }
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        fn write_span_line(
+            out: &mut String,
+            ev: &str,
+            id: SpanId,
+            parent: Option<SpanId>,
+            name: &str,
+            t_ns: u64,
+            tid: u64,
+        ) {
+            let _ = write!(out, r#"{{"ev":"{ev}","id":{}"#, id.0);
+            if let Some(p) = parent {
+                let _ = write!(out, r#","parent":{}"#, p.0);
+            }
+            let _ = writeln!(
+                out,
+                r#","name":"{}","t_ns":{t_ns},"tid":{tid}}}"#,
+                esc(name)
+            );
+        }
+
+        let (records, would, max_t, budget, delta) = match &j.0 {
+            Some(cell) => {
+                let s = cell.lock();
+                (
+                    s.records.clone(),
+                    s.would,
+                    s.max_t_ns,
+                    s.budget_account,
+                    s.delta_account,
+                )
+            }
+            None => (Vec::new(), 0, 0, None, None),
+        };
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            r#"{{"schema":"{JOURNAL_SCHEMA}","experiment":"{}","seed":{seed}}}"#,
+            esc(experiment)
+        );
+        for rec in &records {
+            match rec {
+                JournalRecord::Open {
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                    tid,
+                } => write_span_line(&mut out, "open", *id, *parent, name, *t_ns, *tid),
+                JournalRecord::Event {
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                    tid,
+                } => write_span_line(&mut out, "event", *id, *parent, name, *t_ns, *tid),
+                JournalRecord::Close { id, t_ns } => {
+                    let _ = writeln!(out, r#"{{"ev":"close","id":{},"t_ns":{t_ns}}}"#, id.0);
+                }
+                JournalRecord::Flow { from, to, kind } => {
+                    let _ = writeln!(
+                        out,
+                        r#"{{"ev":"flow","from":{},"to":{},"kind":"{}"}}"#,
+                        from.0,
+                        to.0,
+                        esc(kind)
+                    );
+                }
+                JournalRecord::Metric { name, delta } => {
+                    let _ = writeln!(
+                        out,
+                        r#"{{"ev":"metric","name":"{}","delta":{delta}}}"#,
+                        esc(name)
+                    );
+                }
+            }
+        }
+        let stored = records.len() as u64;
+        let bytes = out.len();
+        let _ = write!(
+            out,
+            r#"{{"account":{{"events":{stored},"dropped":{},"bytes":{bytes},"sim_ns":{max_t}"#,
+            would - stored
+        );
+        if let Some(b) = budget {
+            let opt = |v: Option<u64>| v.map_or("null".to_string(), |x| x.to_string());
+            let _ = write!(
+                out,
+                r#","budget":{{"max_events":{},"max_sim_ns":{},"charged_events":{},"charged_sim_ns":{},"would_have_run":{},"cutoff_seq":{},"runs_cut":{}}}"#,
+                opt(b.max_events),
+                opt(b.max_sim_ns),
+                b.charged_events,
+                b.charged_sim_ns,
+                b.would_have_run,
+                opt(b.cutoff_seq),
+                b.runs_cut
+            );
+        }
+        if let Some(d) = delta {
+            let _ = write!(
+                out,
+                r#","delta":{{"lookups":{},"full_hits":{},"resumes":{},"misses":{},"calls_replayed":{},"calls_resimulated":{},"stored":{},"evictions":{},"entries":{},"bytes_held":{}}}"#,
+                d.lookups,
+                d.full_hits,
+                d.resumes,
+                d.misses,
+                d.calls_replayed,
+                d.calls_resimulated,
+                d.stored,
+                d.evictions,
+                d.entries,
+                d.bytes_held
+            );
+        }
+        out.push_str("}}\n");
+        out
+    }
+
+    /// Deterministic test randomness: one splitmix64 step.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Names that take every path through the escaper.
+    const NAMES: [&str; 12] = [
+        "core",
+        "",
+        "we\"ird",
+        "back\\slash",
+        "new\nline",
+        "cr\rtab\t",
+        "\u{1}ctl\u{1f}",
+        "del\u{7f}",
+        "naïve → µs",
+        "\"\\\"",
+        "sim.run_prtr",
+        "ctx:task0",
+    ];
+
+    /// A journal holding `len` random records, with random offer and
+    /// time accounting, built directly so ids, parents, and times can
+    /// take values the id mint never hands out.
+    fn random_journal(rng: &mut u64, len: usize) -> Journal {
+        let pick = |rng: &mut u64| match splitmix64(rng) % 4 {
+            0 => 0,
+            1 => u64::MAX,
+            2 => splitmix64(rng) % 1_000,
+            _ => splitmix64(rng),
+        };
+        let mut s = State::new(splitmix64(rng));
+        for _ in 0..len {
+            let name = NAMES[(splitmix64(rng) % NAMES.len() as u64) as usize];
+            let id = SpanId(pick(rng));
+            let parent = (!splitmix64(rng).is_multiple_of(3)).then(|| SpanId(pick(rng)));
+            let (t_ns, tid) = (pick(rng), pick(rng));
+            s.records.push(match splitmix64(rng) % 5 {
+                0 => JournalRecord::Open {
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                    tid,
+                },
+                1 => JournalRecord::Event {
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                    tid,
+                },
+                2 => JournalRecord::Close { id, t_ns },
+                3 => JournalRecord::Flow {
+                    from: id,
+                    to: SpanId(pick(rng)),
+                    kind: name,
+                },
+                _ => JournalRecord::Metric {
+                    name,
+                    delta: pick(rng),
+                },
+            });
+        }
+        s.would = len as u64 + splitmix64(rng) % 3;
+        s.max_t_ns = pick(rng);
+        if splitmix64(rng).is_multiple_of(2) {
+            s.budget_account = Some(BudgetAccount {
+                max_events: splitmix64(rng).is_multiple_of(2).then(|| pick(rng)),
+                max_sim_ns: splitmix64(rng).is_multiple_of(2).then(|| pick(rng)),
+                charged_events: pick(rng),
+                charged_sim_ns: pick(rng),
+                would_have_run: pick(rng),
+                cutoff_seq: splitmix64(rng).is_multiple_of(2).then(|| pick(rng)),
+                runs_cut: pick(rng),
+            });
+        }
+        if splitmix64(rng).is_multiple_of(2) {
+            s.delta_account = Some(DeltaAccount {
+                lookups: pick(rng),
+                full_hits: pick(rng),
+                resumes: pick(rng),
+                misses: pick(rng),
+                calls_replayed: pick(rng),
+                calls_resimulated: pick(rng),
+                stored: pick(rng),
+                evictions: pick(rng),
+                entries: pick(rng),
+                bytes_held: pick(rng),
+            });
+        }
+        Journal(Some(Arc::new(Mutex::new(s))))
+    }
+
+    #[test]
+    fn push_u64_matches_display() {
+        let mut rng = 3;
+        let mut values = vec![
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            101,
+            999,
+            1_000,
+            u64::MAX,
+            u64::MAX - 1,
+        ];
+        values.extend((0..20).map(|k| 10u64.pow(k)));
+        values.extend((1..20).map(|k| 10u64.pow(k) - 1));
+        values.extend((0..1_000).map(|_| splitmix64(&mut rng) >> (splitmix64(&mut rng) % 64)));
+        for v in values {
+            let mut out = b"x".to_vec();
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}").into_bytes());
+        }
+    }
+
+    #[test]
+    fn to_jsonl_matches_the_write_based_oracle() {
+        for j in [Journal::noop(), Journal::new(1)] {
+            assert_eq!(j.to_jsonl("e\"x", 0), reference_jsonl(&j, "e\"x", 0));
+        }
+        let mut rng = 0x5EED;
+        let (mut budgets, mut deltas) = (0, 0);
+        for case in 0..256 {
+            let len = (splitmix64(&mut rng) % 64) as usize;
+            let j = random_journal(&mut rng, len);
+            budgets += j.budget_account().is_some() as u32;
+            deltas += j.delta_account().is_some() as u32;
+            let experiment = NAMES[case % NAMES.len()];
+            let seed = [0, u64::MAX, case as u64][case % 3];
+            assert_eq!(
+                j.to_jsonl(experiment, seed),
+                reference_jsonl(&j, experiment, seed),
+                "case {case}"
+            );
+        }
+        assert!(budgets > 0 && deltas > 0, "both footers were exercised");
+    }
+
+    /// One cycle body with references that leave the block: it closes
+    /// `outer` (opened before the mark), links `outer` into the block
+    /// with a flow, and nests an event under a span of its own.
+    fn emit_cycle(j: &Journal, run: Option<SpanId>, outer: Option<SpanId>, t0: u64) {
+        j.close(outer, t0 + 1);
+        let call = j.open("call", run, t0, 0);
+        let exec = j.event("execute", call, t0 + 5, 10);
+        j.flow(outer, exec, "enter");
+        j.flow(call, exec, "activate");
+        j.metric("calls", 1);
+        j.close(call, t0 + 9);
+    }
+
+    #[test]
+    fn replay_cycle_keeps_outside_references_and_budget_accounting() {
+        // No budget; one that runs out part-way through the second copy;
+        // and one that runs out inside the simulated cycle itself.
+        for budget in [None, Some(12), Some(5)] {
+            let journal = || match budget {
+                Some(b) => Journal::new(21).with_budget(b),
+                None => Journal::new(21),
+            };
+            let (fast, reference) = (journal(), journal());
+            let mut runs = Vec::new();
+            for j in [&fast, &reference] {
+                let run = j.enter("run", 0, 0);
+                let outer = j.open("outer", run, 1, 0);
+                runs.push((run, outer));
+            }
+            let m = fast.mark();
+            emit_cycle(&fast, runs[0].0, runs[0].1, 100);
+            fast.replay_cycle(m, 3, 50);
+            fast.exit(runs[0].0, 300);
+            for t0 in [100, 150, 200, 250] {
+                emit_cycle(&reference, runs[1].0, runs[1].1, t0);
+            }
+            reference.exit(runs[1].0, 300);
+            assert_eq!(fast.records(), reference.records(), "budget {budget:?}");
+            assert_eq!(
+                fast.to_jsonl("x", 5),
+                reference.to_jsonl("x", 5),
+                "budget {budget:?}"
+            );
+        }
     }
 }

@@ -34,7 +34,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 
-use crate::journal::esc;
+use crate::journal::push_quoted;
 
 /// Schema tag carried by (and required on) every manifest's intent line.
 pub const MANIFEST_SCHEMA: &str = "hprc-manifest/v1";
@@ -124,10 +124,10 @@ impl Manifest {
     /// jobs/paths/caches — so manifests stay byte-identical across
     /// every artifact-invariant knob.
     pub fn intent(&mut self, run: &str, ids: &[String], seed: u64, trace: bool) -> io::Result<u64> {
-        let ids_json: Vec<String> = ids.iter().map(|i| format!("\"{}\"", esc(i))).collect();
+        let ids_json: Vec<String> = ids.iter().map(|i| quoted(i)).collect();
         self.append(&format!(
-            "\"ev\":\"intent\",\"schema\":\"{MANIFEST_SCHEMA}\",\"run\":\"{}\",\"ids\":[{}],\"seed\":{seed},\"trace\":{trace}",
-            esc(run),
+            "\"ev\":\"intent\",\"schema\":\"{MANIFEST_SCHEMA}\",\"run\":{},\"ids\":[{}],\"seed\":{seed},\"trace\":{trace}",
+            quoted(run),
             ids_json.join(","),
         ))
     }
@@ -135,7 +135,7 @@ impl Manifest {
     /// Appends a point-begin entry: experiment `id`'s artifacts are
     /// about to be (re)written, so any previous seals for it are void.
     pub fn point_begin(&mut self, id: &str) -> io::Result<u64> {
-        self.append(&format!("\"ev\":\"point-begin\",\"id\":\"{}\"", esc(id)))
+        self.append(&format!("\"ev\":\"point-begin\",\"id\":{}", quoted(id)))
     }
 
     /// Appends an artifact-sealed entry recording the CRC32 and length
@@ -149,29 +149,24 @@ impl Manifest {
         bytes: u64,
     ) -> io::Result<u64> {
         self.append(&format!(
-            "\"ev\":\"artifact-sealed\",\"id\":\"{}\",\"dir\":\"{}\",\"name\":\"{}\",\"crc\":\"{crc:08x}\",\"bytes\":{bytes}",
-            esc(id),
+            "\"ev\":\"artifact-sealed\",\"id\":{},\"dir\":\"{}\",\"name\":{},\"crc\":\"{crc:08x}\",\"bytes\":{bytes}",
+            quoted(id),
             dir.as_str(),
-            esc(name),
+            quoted(name),
         ))
     }
 
     /// Appends a point-complete entry: every artifact of `id` is sealed
     /// and durable; resume may salvage the point (after re-verifying).
     pub fn point_complete(&mut self, id: &str) -> io::Result<u64> {
-        self.append(&format!("\"ev\":\"point-complete\",\"id\":\"{}\"", esc(id)))
+        self.append(&format!("\"ev\":\"point-complete\",\"id\":{}", quoted(id)))
     }
 
     /// Appends a resume entry: which points were salvaged and which are
     /// being re-executed. Informational — the per-point entries that
     /// follow carry the authoritative state.
     pub fn resumed(&mut self, salvaged: &[String], redo: &[String]) -> io::Result<u64> {
-        let list = |ids: &[String]| {
-            ids.iter()
-                .map(|i| format!("\"{}\"", esc(i)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
+        let list = |ids: &[String]| ids.iter().map(|i| quoted(i)).collect::<Vec<_>>().join(",");
         self.append(&format!(
             "\"ev\":\"resume\",\"salvaged\":[{}],\"redo\":[{}]",
             list(salvaged),
@@ -183,6 +178,13 @@ impl Manifest {
     pub fn run_complete(&mut self) -> io::Result<u64> {
         self.append("\"ev\":\"run-complete\"")
     }
+}
+
+/// `s` as a quoted, escaped JSON string.
+fn quoted(s: &str) -> String {
+    let mut out = Vec::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
+    String::from_utf8(out).expect("escaped text is UTF-8")
 }
 
 #[cfg(test)]

@@ -227,13 +227,16 @@ fn render(segments: &[PreemptSegment], ctx: &ExecCtx, enable_jump: bool) -> Exec
     // jump window), so their ids survive cycle replay untouched.
     let mut anchors: HashMap<Symbol, Option<hprc_obs::SpanId>> = HashMap::new();
     let mut anchor_order: Vec<Symbol> = Vec::new();
-    let mut label_buf = String::new();
     for seg in segments {
         if let std::collections::hash_map::Entry::Vacant(slot) = anchors.entry(seg.name) {
-            label_buf.clear();
-            label_buf.push_str("ctx:");
-            label_buf.push_str(seg.name.as_str());
-            slot.insert(j.open(&label_buf, jrun, 0, tid_host));
+            // Journal names are `'static`: intern the label, and only
+            // when it will be recorded.
+            slot.insert(if j.is_enabled() {
+                let label = Symbol::intern(&format!("ctx:{}", seg.name.as_str()));
+                j.open(label.as_str(), jrun, 0, tid_host)
+            } else {
+                None
+            });
             anchor_order.push(seg.name);
         }
     }
