@@ -4,6 +4,7 @@
 //! with the `hprc-virt` runtime.
 
 use hprc_ctx::ExecCtx;
+use hprc_fault::FaultPlan;
 use hprc_fpga::floorplan::Floorplan;
 use hprc_sim::node::NodeConfig;
 use hprc_virt::app::App;
@@ -93,7 +94,8 @@ pub fn run(ctx: &ExecCtx) -> Report {
             ("FRTR", RuntimeConfig::frtr()),
             ("PRTR", RuntimeConfig::prtr_overlapped()),
         ] {
-            let report = run_virt(&node, &apps, &cfg, ctx).expect("valid scenario");
+            let report =
+                run_virt(&node, &apps, &cfg, &FaultPlan::disarmed(), ctx).expect("valid scenario");
             let mean_turnaround = report.per_app.iter().map(|a| a.turnaround_s).sum::<f64>()
                 / report.per_app.len() as f64;
             rows.push(Row {

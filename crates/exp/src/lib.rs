@@ -248,16 +248,35 @@ pub fn journal_salt(id: &str, seed: u64) -> u64 {
     h ^ seed
 }
 
+/// The context experiment `id` runs under: the seed base, `jobs`
+/// workers for its own sweep and, when `traced`, a live registry and a
+/// journal salted by [`journal_salt`]. Artifacts depend only on
+/// `(id, seed)`, so a fresh run, `hprc-exp resume` and `hprc-exp
+/// journal replay-check` all build their contexts here. Contexts carry
+/// no delta cache: within one invocation its lookups and stored reports
+/// cost more than the few replays they buy (DESIGN §4j).
+pub fn run_context(id: &str, seed: u64, traced: bool, jobs: usize) -> ExecCtx {
+    let (registry, journal) = if traced {
+        (
+            hprc_obs::Registry::new(),
+            hprc_obs::Journal::new(journal_salt(id, seed)),
+        )
+    } else {
+        (hprc_obs::Registry::noop(), hprc_obs::Journal::noop())
+    };
+    ExecCtx::default()
+        .with_registry(registry)
+        .with_journal(journal)
+        .with_seed(seed)
+        .with_jobs(jobs)
+}
+
 /// Re-runs experiment `id` under a live journal and returns the JSONL
 /// journal text — the exact bytes `--trace` writes to
 /// `<id>.journal.jsonl` for the same `(id, seed)`, at any `jobs`
 /// budget. Errors for an unknown id or a failed run.
 pub fn run_journaled(id: &str, seed: u64, jobs: usize) -> Result<String, ExpError> {
-    let ctx = ExecCtx::default()
-        .with_registry(hprc_obs::Registry::new())
-        .with_journal(hprc_obs::Journal::new(journal_salt(id, seed)))
-        .with_seed(seed)
-        .with_jobs(jobs);
+    let ctx = run_context(id, seed, true, jobs);
     run_experiment(id, &ctx)?;
     Ok(ctx.journal.to_jsonl(id, seed))
 }

@@ -30,7 +30,6 @@ use std::process::ExitCode;
 
 use hprc_ctx::ExecCtx;
 use hprc_obs::manifest::Manifest;
-use hprc_obs::Registry;
 
 fn usage() -> String {
     format!(
@@ -79,10 +78,26 @@ fn main() -> ExitCode {
     let mut run_id = String::from("run");
     let mut crash_at: Option<u64> = None;
     let mut ids: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    match std::env::args().nth(1).as_deref() {
-        Some("journal") => return hprc_exp::journal_cli::journal_main(args.skip(1)),
-        Some("resume") => return hprc_exp::recover::resume_main(args.skip(1)),
+    // Read the arguments once, as UTF-8: `std::env::args` would panic on
+    // the first argument that is not.
+    let args: Vec<String> = match std::env::args_os()
+        .skip(1)
+        .map(|a| a.into_string())
+        .collect()
+    {
+        Ok(args) => args,
+        Err(bad) => {
+            eprintln!(
+                "argument is not valid UTF-8: {}\n\n{}",
+                bad.to_string_lossy(),
+                usage()
+            );
+            return ExitCode::FAILURE;
+        }
+    };
+    match args.first().map(String::as_str) {
+        Some("journal") => return hprc_exp::journal_cli::journal_main(args.into_iter().skip(1)),
+        Some("resume") => return hprc_exp::recover::resume_main(args.into_iter().skip(1)),
         Some("list") => {
             for (id, description) in hprc_exp::EXPERIMENT_DESCRIPTIONS {
                 println!("{id:<16} {description}");
@@ -91,6 +106,7 @@ fn main() -> ExitCode {
         }
         _ => {}
     }
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--out" => match args.next() {
@@ -123,7 +139,7 @@ fn main() -> ExitCode {
             },
             "--no-delta" => {}
             "--run-id" => match args.next() {
-                Some(r) if !r.is_empty() && !r.contains('/') => run_id = r,
+                Some(r) if hprc_exp::recover::is_valid_run_id(&r) => run_id = r,
                 _ => {
                     eprintln!(
                         "--run-id requires a non-empty name without '/'\n\n{}",
@@ -184,27 +200,11 @@ fn main() -> ExitCode {
     // The jobs budget goes to whichever level can use it: across
     // experiments when several ids run, into the experiment's own sweep
     // runner when only one does. Each experiment gets its own registry
-    // so metrics files don't bleed into each other. Contexts carry no
-    // delta cache: within one invocation its lookups and stored reports
-    // cost more than the few replays they buy (DESIGN §4j).
+    // so metrics files don't bleed into each other.
     let inner_jobs = if ids.len() == 1 { jobs } else { 1 };
     let contexts: Vec<ExecCtx> = ids
         .iter()
-        .map(|id| {
-            ExecCtx::default()
-                .with_registry(if trace_dir.is_some() {
-                    Registry::new()
-                } else {
-                    Registry::noop()
-                })
-                .with_journal(if trace_dir.is_some() {
-                    hprc_obs::Journal::new(hprc_exp::journal_salt(id, seed))
-                } else {
-                    hprc_obs::Journal::noop()
-                })
-                .with_seed(seed)
-                .with_jobs(inner_jobs)
-        })
+        .map(|id| hprc_exp::run_context(id, seed, trace_dir.is_some(), inner_jobs))
         .collect();
 
     // The write-ahead manifest precedes every side effect: the intent

@@ -36,6 +36,13 @@ use serde_json::Value;
 use crate::report::Report;
 use crate::ExpError;
 
+/// Whether `run` can name a run: its manifest is
+/// `DIR/<run>.manifest.jsonl`, so the id must be non-empty and hold no
+/// `/`. `--run-id` and `resume RUN_ID` both check ids here.
+pub fn is_valid_run_id(run: &str) -> bool {
+    !run.is_empty() && !run.contains('/')
+}
+
 /// The manifest path for run id `run` under the out directory.
 pub fn manifest_path(out_dir: &Path, run: &str) -> PathBuf {
     out_dir.join(format!("{run}.manifest.jsonl"))
@@ -559,6 +566,13 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
         eprintln!("resume requires a RUN_ID\n\n{}", resume_usage());
         return ExitCode::FAILURE;
     };
+    if !is_valid_run_id(&run_id) {
+        eprintln!(
+            "RUN_ID must be a non-empty name without '/'\n\n{}",
+            resume_usage()
+        );
+        return ExitCode::FAILURE;
+    }
     if crash_at.is_none() {
         crash_at = match crash_at_from_env() {
             Ok(c) => c,
@@ -651,21 +665,7 @@ pub fn resume_main(args: impl Iterator<Item = String>) -> ExitCode {
     let inner_jobs = if parsed.ids.len() == 1 { jobs } else { 1 };
     let contexts: Vec<ExecCtx> = redo
         .iter()
-        .map(|id| {
-            ExecCtx::default()
-                .with_registry(if parsed.trace {
-                    hprc_obs::Registry::new()
-                } else {
-                    hprc_obs::Registry::noop()
-                })
-                .with_journal(if parsed.trace {
-                    hprc_obs::Journal::new(crate::journal_salt(id, parsed.seed))
-                } else {
-                    hprc_obs::Journal::noop()
-                })
-                .with_seed(parsed.seed)
-                .with_jobs(inner_jobs)
-        })
+        .map(|id| crate::run_context(id, parsed.seed, parsed.trace, inner_jobs))
         .collect();
 
     let workers = jobs.min(redo.len()).max(1);

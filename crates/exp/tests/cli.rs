@@ -131,6 +131,16 @@ fn flag_errors_print_usage() {
             &["--run-id", "a/b", "table1"][..],
             "--run-id requires a non-empty name",
         ),
+        // A manifest no run can have written: ids are checked by the
+        // same rule on both sides.
+        (
+            &["resume", "a/b"][..],
+            "RUN_ID must be a non-empty name without '/'",
+        ),
+        (
+            &["resume", ""][..],
+            "RUN_ID must be a non-empty name without '/'",
+        ),
     ] {
         let out = Command::new(exe()).args(args).output().expect("run binary");
         assert!(!out.status.success(), "{args:?} must exit non-zero");
@@ -140,6 +150,29 @@ fn flag_errors_print_usage() {
             stderr.contains("usage: hprc-exp"),
             "{args:?} should print usage: {stderr}"
         );
+    }
+}
+
+#[test]
+fn non_utf8_argument_prints_usage_and_fails() {
+    use std::ffi::OsStr;
+    use std::os::unix::ffi::OsStrExt;
+
+    let bad = OsStr::from_bytes(b"\xff");
+    for prefix in [&[][..], &["resume"][..], &["journal", "summarize"][..]] {
+        let out = Command::new(exe())
+            .args(prefix)
+            .arg(bad)
+            .output()
+            .expect("run binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{prefix:?}: {stderr}");
+        assert!(
+            stderr.contains("argument is not valid UTF-8"),
+            "{prefix:?}: {stderr}"
+        );
+        assert!(stderr.contains("usage"), "{prefix:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{prefix:?}: {stderr}");
     }
 }
 

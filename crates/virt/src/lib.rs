@@ -9,9 +9,10 @@
 //!   arrival times and priorities;
 //! * [`runtime`] — the OS-style scheduler over fixed PRRs: FCFS/priority
 //!   disciplines, FRTR vs PRTR modes, optional next-configuration
-//!   overlap, per-app turnaround/hit statistics, Gantt timelines, and a
-//!   fault-injecting variant ([`runtime::run_faulty`]) that surfaces
-//!   recovery outcomes instead of unwinding;
+//!   overlap, per-app turnaround/hit statistics and Gantt timelines,
+//!   under a seeded [`FaultPlan`](hprc_fault::FaultPlan) whose recovery
+//!   outcomes the report surfaces instead of unwinding (a clean run is
+//!   a run under the disarmed plan);
 //! * [`flexible`] — the variable-width runtime: modules occupy exactly
 //!   the columns they need inside one reconfigurable window, with LRU
 //!   eviction and on-block defragmentation (width-scaled configuration
@@ -19,6 +20,7 @@
 //!
 //! ```
 //! use hprc_ctx::ExecCtx;
+//! use hprc_fault::FaultPlan;
 //! use hprc_fpga::floorplan::Floorplan;
 //! use hprc_sim::node::NodeConfig;
 //! use hprc_virt::app::App;
@@ -26,13 +28,14 @@
 //!
 //! let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
 //! let ctx = ExecCtx::default();
+//! let clean = FaultPlan::disarmed();
 //! // Two applications, each loyal to its own core.
 //! let apps = vec![
 //!     App::cycling(0, "video", &["Median Filter"], 20, 0.005, 0.0),
 //!     App::cycling(1, "edges", &["Sobel Filter"], 20, 0.005, 0.0),
 //! ];
-//! let prtr = run(&node, &apps, &RuntimeConfig::prtr_overlapped(), &ctx).unwrap();
-//! let frtr = run(&node, &apps, &RuntimeConfig::frtr(), &ctx).unwrap();
+//! let prtr = run(&node, &apps, &RuntimeConfig::prtr_overlapped(), &clean, &ctx).unwrap();
+//! let frtr = run(&node, &apps, &RuntimeConfig::frtr(), &clean, &ctx).unwrap();
 //! // PRTR keeps both cores resident; FRTR ping-pongs 1.7 s configurations.
 //! assert!(frtr.makespan_s > 20.0 * prtr.makespan_s);
 //! ```
@@ -47,6 +50,4 @@ pub mod runtime;
 pub use app::{App, VirtCall};
 pub use error::VirtError;
 pub use flexible::{run_flexible, DefragPolicy, FlexApp, FlexCall, FlexConfig, FlexReport};
-pub use runtime::{
-    run, run_faulty, FaultyRunReport, ReconfigMode, RunReport, RuntimeConfig, SchedulerKind,
-};
+pub use runtime::{run, ReconfigMode, RunReport, RuntimeConfig, SchedulerKind};

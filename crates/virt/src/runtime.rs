@@ -142,9 +142,30 @@ pub struct RunReport {
     pub config_busy_s: f64,
     /// Event timeline (Gantt-renderable).
     pub timeline: Timeline,
+    /// Calls that hit at least one injected fault but still completed.
+    pub recovered: u64,
+    /// Partial chains that escalated to a full reconfiguration.
+    pub escalated_full: u64,
+    /// Calls whose recovery chain exhausted every attempt — served as
+    /// zero-length records rather than an error.
+    pub dropped_calls: u64,
+    /// Resident modules lost to seeded SEU strikes.
+    pub seu_invalidations: u64,
+    /// PRRs blacklisted by the end of the run.
+    pub blacklisted_slots: usize,
 }
 
 impl RunReport {
+    /// Availability: the fraction of calls that were not dropped.
+    pub fn availability(&self) -> f64 {
+        let calls: u64 = self.per_app.iter().map(|a| a.calls).sum();
+        if calls == 0 {
+            1.0
+        } else {
+            1.0 - self.dropped_calls as f64 / calls as f64
+        }
+    }
+
     /// Aggregate hit ratio across all applications.
     pub fn hit_ratio(&self) -> f64 {
         let calls: u64 = self.per_app.iter().map(|a| a.calls).sum();
@@ -178,280 +199,11 @@ struct Issue {
     app: usize,
 }
 
-/// Runs `apps` on the node under `config`.
-///
-/// Runtime metrics go to `ctx.registry`
-/// ([`ExecCtx::default`](hprc_ctx::ExecCtx::default) records nothing):
-///
-/// * histogram `virt.dispatch_latency_s` — per call, time from issue to
-///   execution start (the queueing + configuration + control cost the
-///   caller observes);
-/// * counters `virt.calls` / `virt.hits` / `virt.configs`;
-/// * gauges `virt.makespan_s`, `virt.hit_ratio`, and the timeline's
-///   per-lane busy time under the `virt` prefix;
-/// * span `virt.run` covering the whole simulation.
-///
-/// # Errors
-///
-/// [`VirtError::NoApplications`] for an empty app list;
-/// [`VirtError::BadAppIds`] when ids are not `0..n` in order (they index
-/// the report).
-pub fn run(
-    node: &NodeConfig,
-    apps: &[App],
-    config: &RuntimeConfig,
-    ctx: &hprc_ctx::ExecCtx,
-) -> Result<RunReport, VirtError> {
-    let registry = &ctx.registry;
-    let _span = registry.span("virt.run");
-    if apps.is_empty() {
-        return Err(VirtError::NoApplications);
-    }
-    if apps.iter().enumerate().any(|(i, a)| a.id != i) {
-        return Err(VirtError::BadAppIds);
-    }
-    let j = &ctx.journal;
-    let js = j.enter("virt.run", 0, 0);
-    let m_dispatch = registry.histogram("virt.dispatch_latency_s");
-    let m_calls = registry.counter("virt.calls");
-    let m_hits = registry.counter("virt.hits");
-    let m_configs = registry.counter("virt.configs");
-
-    let n_slots = match config.mode {
-        ReconfigMode::Frtr => 1,
-        ReconfigMode::Prtr => node.n_prrs,
-    };
-    let t_control = SimDuration::from_secs_f64(node.control_overhead_s);
-    let t_config = match config.mode {
-        ReconfigMode::Frtr => SimDuration::from_secs_f64(node.t_frtr_s()),
-        ReconfigMode::Prtr => SimDuration::from_secs_f64(node.t_prtr_s()),
-    };
-
-    let mut slots = vec![
-        Slot {
-            module: None,
-            free_at: SimTime::ZERO,
-            last_used: SimTime::ZERO,
-        };
-        n_slots
-    ];
-    let mut config_port_free = SimTime::ZERO;
-    let mut config_busy_s = 0.0f64;
-    let mut n_config = 0u64;
-    let mut next_call = vec![0usize; apps.len()];
-    let mut timeline = Timeline::default();
-    let mut records = Vec::new();
-    let mut stats: Vec<AppStats> = apps
-        .iter()
-        .map(|a| AppStats {
-            app: a.id,
-            turnaround_s: 0.0,
-            exec_s: 0.0,
-            calls: 0,
-            hits: 0,
-        })
-        .collect();
-
-    // Peak occupancy is one in-flight Issue per application.
-    let mut queue: EventQueue<Issue> = EventQueue::instrumented_with_capacity(registry, apps.len());
-    for app in apps {
-        if !app.calls.is_empty() {
-            let prio = match config.scheduler {
-                SchedulerKind::Fcfs => 128,
-                SchedulerKind::Priority => app.priority,
-            };
-            queue.schedule_with_priority(
-                SimTime::ZERO + SimDuration::from_secs_f64(app.arrival_s),
-                prio,
-                Issue { app: app.id },
-            );
-        }
-    }
-
-    while let Some((now, Issue { app: app_id })) = queue.pop() {
-        let app = &apps[app_id];
-        let call = &app.calls[next_call[app_id]];
-        let t_task = SimDuration::from_secs_f64(call.t_task_s);
-
-        // Find residency.
-        let resident = slots
-            .iter()
-            .position(|s| s.module.as_deref() == Some(call.module.as_str()));
-        let (slot_idx, exec_ready, hit, config_s) = match resident {
-            Some(s) => (s, now.max(slots[s].free_at), true, 0.0),
-            None => {
-                // LRU victim among all slots (whole device under FRTR).
-                let victim = (0..slots.len())
-                    .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i))
-                    .expect("at least one slot");
-                let cfg_start = now.max(slots[victim].free_at).max(config_port_free);
-                let cfg_end = cfg_start + t_config;
-                config_port_free = cfg_end;
-                config_busy_s += t_config.as_secs_f64();
-                n_config += 1;
-                timeline.push(
-                    Lane::ConfigPort,
-                    match config.mode {
-                        ReconfigMode::Frtr => EventKind::FullConfig,
-                        ReconfigMode::Prtr => EventKind::PartialConfig,
-                    },
-                    format!("cfg:{}(app{})", call.module, app_id),
-                    cfg_start,
-                    cfg_end,
-                );
-                slots[victim].module = Some(call.module.clone());
-                if config.mode == ReconfigMode::Frtr {
-                    // A full configuration resets the device: everything
-                    // else resident dies too (there is only one slot here,
-                    // but the reset also applies conceptually).
-                }
-                (victim, cfg_end, false, t_config.as_secs_f64())
-            }
-        };
-
-        let control_end = exec_ready + t_control;
-        timeline.push(
-            Lane::Host,
-            EventKind::Control,
-            format!("ctl:app{app_id}"),
-            exec_ready,
-            control_end,
-        );
-        let exec_start = control_end;
-        let exec_end = exec_start + t_task;
-        timeline.push(
-            Lane::Prr(slot_idx),
-            EventKind::Exec,
-            format!("{}(app{})", call.module, app_id),
-            exec_start,
-            exec_end,
-        );
-        slots[slot_idx].free_at = exec_end;
-        slots[slot_idx].last_used = exec_end;
-
-        stats[app_id].calls += 1;
-        stats[app_id].exec_s += t_task.as_secs_f64();
-        if hit {
-            stats[app_id].hits += 1;
-        }
-        records.push(CallRecord {
-            app: app_id,
-            module: call.module.clone(),
-            slot: slot_idx,
-            hit,
-            issued: now,
-            config_s,
-            exec_start,
-            exec_end,
-        });
-        m_calls.inc();
-        if hit {
-            m_hits.inc();
-        }
-        m_dispatch.record((exec_start - now).as_secs_f64());
-
-        // Optional overlap: configure this app's next module during the
-        // current execution (PRTR only; needs a second slot).
-        if config.prefetch_next && config.mode == ReconfigMode::Prtr && slots.len() > 1 {
-            if let Some(next) = app.calls.get(next_call[app_id] + 1) {
-                let already = slots
-                    .iter()
-                    .any(|s| s.module.as_deref() == Some(next.module.as_str()));
-                if !already {
-                    let victim = (0..slots.len())
-                        .filter(|&i| i != slot_idx)
-                        .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i))
-                        .expect("len > 1");
-                    let cfg_start = exec_start.max(slots[victim].free_at).max(config_port_free);
-                    let cfg_end = cfg_start + t_config;
-                    config_port_free = cfg_end;
-                    config_busy_s += t_config.as_secs_f64();
-                    n_config += 1;
-                    timeline.push(
-                        Lane::ConfigPort,
-                        EventKind::PartialConfig,
-                        format!("pf:{}(app{})", next.module, app_id),
-                        cfg_start,
-                        cfg_end,
-                    );
-                    slots[victim].module = Some(next.module.clone());
-                    slots[victim].free_at = slots[victim].free_at.max(cfg_end);
-                }
-            }
-        }
-
-        // Next call of this app, or completion.
-        next_call[app_id] += 1;
-        if next_call[app_id] < app.calls.len() {
-            let prio = match config.scheduler {
-                SchedulerKind::Fcfs => 128,
-                SchedulerKind::Priority => app.priority,
-            };
-            queue.schedule_with_priority(exec_end, prio, Issue { app: app_id });
-        } else {
-            stats[app_id].turnaround_s = exec_end.as_secs_f64() - app.arrival_s;
-        }
-    }
-
-    let makespan_s = records
-        .iter()
-        .map(|r| r.exec_end.as_secs_f64())
-        .fold(0.0, f64::max);
-    let report = RunReport {
-        makespan_s,
-        per_app: stats,
-        records,
-        n_config,
-        config_busy_s,
-        timeline,
-    };
-    m_configs.add(report.n_config);
-    if registry.is_enabled() {
-        registry.gauge("virt.makespan_s").set(report.makespan_s);
-        registry.gauge("virt.hit_ratio").set(report.hit_ratio());
-        report.timeline.record_metrics(registry, "virt");
-    }
-    j.metric("virt.calls", report.records.len() as u64);
-    j.metric("virt.configs", report.n_config);
-    j.exit(js, (report.makespan_s * 1e9).round() as u64);
-    Ok(report)
-}
-
-/// Result of a fault-injecting runtime simulation: the ordinary
-/// [`RunReport`] plus the recovery outcomes the runtime *surfaced*
-/// instead of unwinding on.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FaultyRunReport {
-    /// The underlying schedule, with recovery time folded into the
-    /// affected calls' configuration charges.
-    pub report: RunReport,
-    /// Calls that hit at least one injected fault but still completed.
-    pub recovered: u64,
-    /// Partial chains that escalated to a full reconfiguration.
-    pub escalated_full: u64,
-    /// Calls whose recovery chain exhausted every attempt — served as
-    /// zero-length records rather than an error.
-    pub dropped_calls: u64,
-    /// Resident modules lost to seeded SEU strikes.
-    pub seu_invalidations: u64,
-    /// PRRs blacklisted by the end of the run.
-    pub blacklisted_slots: usize,
-}
-
-impl FaultyRunReport {
-    /// Availability: the fraction of calls that were not dropped.
-    pub fn availability(&self) -> f64 {
-        let calls: u64 = self.report.per_app.iter().map(|a| a.calls).sum();
-        if calls == 0 {
-            1.0
-        } else {
-            1.0 - self.dropped_calls as f64 / calls as f64
-        }
-    }
-}
-
-/// [`run`] with the `hprc-fault` recovery machinery armed. A disarmed
-/// plan delegates to [`run`] and is observably identical to it.
+/// Runs `apps` on the node under `config`, with faults drawn from
+/// `plan`. Clean callers pass
+/// [`FaultPlan::disarmed`](hprc_fault::FaultPlan::disarmed): every
+/// fate is then clean and the five fault tallies of the report are
+/// zero.
 ///
 /// Recovery is charged *coarsely*: each demand miss draws its
 /// [`CallFate`](hprc_fault::CallFate) and the whole retry/backoff/
@@ -466,34 +218,34 @@ impl FaultyRunReport {
 /// blacklisted and the runtime degrades toward pure full
 /// reconfiguration, never unwinding.
 ///
-/// Armed runs add to [`run`]'s instruments: counters
-/// `virt.fault.injected` / `.recovered` / `.escalated_full` /
-/// `.dropped` / `.seu_invalidations` and gauge
-/// `virt.fault.blacklisted_slots`.
+/// Runtime metrics go to `ctx.registry`
+/// ([`ExecCtx::default`](hprc_ctx::ExecCtx::default) records nothing):
+///
+/// * histogram `virt.dispatch_latency_s` — per call, time from issue to
+///   execution start (the queueing + configuration + control cost the
+///   caller observes);
+/// * counters `virt.calls` / `virt.hits` / `virt.configs`;
+/// * gauges `virt.makespan_s`, `virt.hit_ratio`, and the timeline's
+///   per-lane busy time under the `virt` prefix;
+/// * span `virt.run` covering the whole simulation;
+/// * under an armed plan only, counters `virt.fault.injected` /
+///   `.recovered` / `.escalated_full` / `.dropped` /
+///   `.seu_invalidations` and gauge `virt.fault.blacklisted_slots`.
 ///
 /// # Errors
 ///
-/// Exactly [`run`]'s errors — injected faults never surface as `Err`.
-pub fn run_faulty(
+/// [`VirtError::NoApplications`] for an empty app list;
+/// [`VirtError::BadAppIds`] when ids are not `0..n` in order (they index
+/// the report). Injected faults never surface as `Err`.
+pub fn run(
     node: &NodeConfig,
     apps: &[App],
     config: &RuntimeConfig,
     plan: &hprc_fault::FaultPlan,
     ctx: &hprc_ctx::ExecCtx,
-) -> Result<FaultyRunReport, VirtError> {
-    if !plan.armed() {
-        return Ok(FaultyRunReport {
-            report: run(node, apps, config, ctx)?,
-            recovered: 0,
-            escalated_full: 0,
-            dropped_calls: 0,
-            seu_invalidations: 0,
-            blacklisted_slots: 0,
-        });
-    }
-
+) -> Result<RunReport, VirtError> {
     let registry = &ctx.registry;
-    let _span = registry.span("virt.run_faulty");
+    let _span = registry.span("virt.run");
     if apps.is_empty() {
         return Err(VirtError::NoApplications);
     }
@@ -501,7 +253,7 @@ pub fn run_faulty(
         return Err(VirtError::BadAppIds);
     }
     let j = &ctx.journal;
-    let js = j.enter("virt.run_faulty", 0, 0);
+    let js = j.enter("virt.run", 0, 0);
     let m_dispatch = registry.histogram("virt.dispatch_latency_s");
     let m_calls = registry.counter("virt.calls");
     let m_hits = registry.counter("virt.hits");
@@ -551,6 +303,7 @@ pub fn run_faulty(
         })
         .collect();
 
+    // Peak occupancy is one in-flight Issue per application.
     let mut queue: EventQueue<Issue> = EventQueue::instrumented_with_capacity(registry, apps.len());
     for app in apps {
         if !app.calls.is_empty() {
@@ -576,18 +329,12 @@ pub fn run_faulty(
         let resident = slots
             .iter()
             .position(|s| s.module.as_deref() == Some(call.module.as_str()));
-        let (slot_idx, exec_ready, hit, config_s, fate) = match resident {
-            Some(s) => (
-                s,
-                now.max(slots[s].free_at),
-                true,
-                0.0,
-                hprc_fault::CallFate::clean_partial(),
-            ),
+        let (slot_idx, exec_ready, hit, config_s, dropped) = match resident {
+            Some(s) => (s, now.max(slots[s].free_at), true, 0.0, false),
             None => {
-                // LRU victim among usable PRRs; with every PRR retired
-                // the chain is forced full and slot 0 stands in for the
-                // whole device.
+                // LRU victim among usable PRRs (the whole device under
+                // FRTR); with every PRR retired the chain is forced full
+                // and slot 0 stands in for the whole device.
                 let victim = (0..slots.len())
                     .filter(|&i| !state.is_blacklisted(i))
                     .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i))
@@ -596,25 +343,21 @@ pub fn run_faulty(
                     ReconfigMode::Frtr => state.on_full(call_seq),
                     ReconfigMode::Prtr => state.on_miss(call_seq, victim),
                 };
+                // The timeline draws the chain at nanosecond resolution;
+                // charge exactly that span (a clean chain is `t_config`).
                 let chain_s = fate.chain_s(&plan.policy, t_partial_s, t_full_s);
+                let chain = SimDuration::from_secs_f64(chain_s);
                 let cfg_start = now.max(slots[victim].free_at).max(config_port_free);
-                let cfg_end = cfg_start + SimDuration::from_secs_f64(chain_s);
+                let cfg_end = cfg_start + chain;
                 config_port_free = cfg_end;
-                config_busy_s += chain_s;
+                config_busy_s += chain.as_secs_f64();
                 // The successful configuration closes the chain; every
                 // earlier attempt and backoff is one Recovery stretch.
-                let success_kind =
-                    if config.mode == ReconfigMode::Frtr || fate.escalated || fate.forced_full {
-                        EventKind::FullConfig
-                    } else {
-                        EventKind::PartialConfig
-                    };
-                let clean_s = if fate.dropped {
-                    0.0
-                } else if success_kind == EventKind::FullConfig {
-                    t_full_s
-                } else {
-                    t_partial_s
+                let full = config.mode == ReconfigMode::Frtr || fate.escalated || fate.forced_full;
+                let clean_s = match (fate.dropped, full) {
+                    (true, _) => 0.0,
+                    (false, true) => t_full_s,
+                    (false, false) => t_partial_s,
                 };
                 let success_start =
                     cfg_start + SimDuration::from_secs_f64((chain_s - clean_s).max(0.0));
@@ -630,10 +373,8 @@ pub fn run_faulty(
                 if fate.escalated || fate.forced_full {
                     escalated_full += 1;
                 }
-                if fate.injected() > 0 {
-                    injected += fate.injected();
-                }
-                if fate.escalated || fate.forced_full || config.mode == ReconfigMode::Frtr {
+                injected += fate.injected();
+                if full {
                     // A full bitstream overwrites the whole device.
                     for s in slots.iter_mut() {
                         s.module = None;
@@ -648,7 +389,11 @@ pub fn run_faulty(
                     n_config += 1;
                     timeline.push(
                         Lane::ConfigPort,
-                        success_kind,
+                        if full {
+                            EventKind::FullConfig
+                        } else {
+                            EventKind::PartialConfig
+                        },
                         format!("cfg:{}(app{})", call.module, app_id),
                         success_start,
                         cfg_end,
@@ -657,28 +402,16 @@ pub fn run_faulty(
                         slots[victim].module = Some(call.module.clone());
                     }
                 }
-                (victim, cfg_end, false, chain_s, fate)
+                (victim, cfg_end, false, chain.as_secs_f64(), fate.dropped)
             }
         };
 
-        if fate.dropped {
+        let (exec_start, exec_end) = if dropped {
             // The call is surfaced as a zero-length record: no control
             // hand-off, no execution window, the app simply moves on.
             slots[slot_idx].free_at = slots[slot_idx].free_at.max(exec_ready);
             slots[slot_idx].last_used = exec_ready;
-            stats[app_id].calls += 1;
-            records.push(CallRecord {
-                app: app_id,
-                module: call.module.clone(),
-                slot: slot_idx,
-                hit: false,
-                issued: now,
-                config_s,
-                exec_start: exec_ready,
-                exec_end: exec_ready,
-            });
-            m_calls.inc();
-            m_dispatch.record((exec_ready - now).as_secs_f64());
+            (exec_ready, exec_ready)
         } else {
             let control_end = exec_ready + t_control;
             timeline.push(
@@ -699,28 +432,27 @@ pub fn run_faulty(
             );
             slots[slot_idx].free_at = exec_end;
             slots[slot_idx].last_used = exec_end;
-
-            stats[app_id].calls += 1;
             stats[app_id].exec_s += t_task.as_secs_f64();
-            if hit {
-                stats[app_id].hits += 1;
-            }
-            records.push(CallRecord {
-                app: app_id,
-                module: call.module.clone(),
-                slot: slot_idx,
-                hit,
-                issued: now,
-                config_s,
-                exec_start,
-                exec_end,
-            });
-            m_calls.inc();
-            if hit {
-                m_hits.inc();
-            }
-            m_dispatch.record((exec_start - now).as_secs_f64());
+            (exec_start, exec_end)
+        };
+
+        stats[app_id].calls += 1;
+        if hit {
+            stats[app_id].hits += 1;
+            m_hits.inc();
         }
+        records.push(CallRecord {
+            app: app_id,
+            module: call.module.clone(),
+            slot: slot_idx,
+            hit,
+            issued: now,
+            config_s,
+            exec_start,
+            exec_end,
+        });
+        m_calls.inc();
+        m_dispatch.record((exec_start - now).as_secs_f64());
 
         // SEU sweep: seeded upsets silently corrupt resident modules.
         for (s, slot) in slots.iter_mut().enumerate() {
@@ -730,9 +462,9 @@ pub fn run_faulty(
             }
         }
 
-        // Optional overlap, demand chains only draw faults: the
-        // prefetched configuration is charged clean and only lands in a
-        // usable PRR.
+        // Optional overlap: configure this app's next module during the
+        // current execution (PRTR only; needs a second, usable PRR). Only
+        // demand chains draw faults: the prefetch is charged clean.
         if config.prefetch_next && config.mode == ReconfigMode::Prtr && slots.len() > 1 {
             if let Some(next) = app.calls.get(next_call[app_id] + 1) {
                 let already = slots
@@ -742,8 +474,7 @@ pub fn run_faulty(
                     .filter(|&i| i != slot_idx && !state.is_blacklisted(i))
                     .min_by_key(|&i| (slots[i].free_at, slots[i].last_used, i));
                 if let (false, Some(victim)) = (already, victim) {
-                    let pf_anchor = records.last().map_or(now, |r| r.exec_start);
-                    let cfg_start = pf_anchor.max(slots[victim].free_at).max(config_port_free);
+                    let cfg_start = exec_start.max(slots[victim].free_at).max(config_port_free);
                     let cfg_end = cfg_start + t_config;
                     config_port_free = cfg_end;
                     config_busy_s += t_config.as_secs_f64();
@@ -761,17 +492,16 @@ pub fn run_faulty(
             }
         }
 
+        // Next call of this app, or completion.
         next_call[app_id] += 1;
         if next_call[app_id] < app.calls.len() {
             let prio = match config.scheduler {
                 SchedulerKind::Fcfs => 128,
                 SchedulerKind::Priority => app.priority,
             };
-            let resume = records.last().map_or(now, |r| r.exec_end);
-            queue.schedule_with_priority(resume, prio, Issue { app: app_id });
+            queue.schedule_with_priority(exec_end, prio, Issue { app: app_id });
         } else {
-            let done = records.last().map_or(now, |r| r.exec_end);
-            stats[app_id].turnaround_s = done.as_secs_f64() - app.arrival_s;
+            stats[app_id].turnaround_s = exec_end.as_secs_f64() - app.arrival_s;
         }
     }
 
@@ -786,44 +516,47 @@ pub fn run_faulty(
         n_config,
         config_busy_s,
         timeline,
+        recovered,
+        escalated_full,
+        dropped_calls,
+        seu_invalidations,
+        blacklisted_slots: state.blacklisted_slots(),
     };
     m_configs.add(report.n_config);
     if registry.is_enabled() {
         registry.gauge("virt.makespan_s").set(report.makespan_s);
         registry.gauge("virt.hit_ratio").set(report.hit_ratio());
         report.timeline.record_metrics(registry, "virt");
-        registry.counter("virt.fault.injected").add(injected);
-        registry.counter("virt.fault.recovered").add(recovered);
-        registry
-            .counter("virt.fault.escalated_full")
-            .add(escalated_full);
-        registry.counter("virt.fault.dropped").add(dropped_calls);
-        registry
-            .counter("virt.fault.seu_invalidations")
-            .add(seu_invalidations);
-        registry
-            .gauge("virt.fault.blacklisted_slots")
-            .set(state.blacklisted_slots() as f64);
+        if plan.armed() {
+            registry.counter("virt.fault.injected").add(injected);
+            registry.counter("virt.fault.recovered").add(recovered);
+            registry
+                .counter("virt.fault.escalated_full")
+                .add(escalated_full);
+            registry.counter("virt.fault.dropped").add(dropped_calls);
+            registry
+                .counter("virt.fault.seu_invalidations")
+                .add(seu_invalidations);
+            registry
+                .gauge("virt.fault.blacklisted_slots")
+                .set(report.blacklisted_slots as f64);
+        }
     }
     j.metric("virt.calls", report.records.len() as u64);
     j.metric("virt.configs", report.n_config);
-    j.metric("virt.fault.injected", injected);
-    j.metric("virt.fault.recovered", recovered);
-    j.metric("virt.fault.dropped", dropped_calls);
+    if plan.armed() {
+        j.metric("virt.fault.injected", injected);
+        j.metric("virt.fault.recovered", recovered);
+        j.metric("virt.fault.dropped", dropped_calls);
+    }
     j.exit(js, (report.makespan_s * 1e9).round() as u64);
-    Ok(FaultyRunReport {
-        report,
-        recovered,
-        escalated_full,
-        dropped_calls,
-        seu_invalidations,
-        blacklisted_slots: state.blacklisted_slots(),
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hprc_fault::FaultPlan;
     use hprc_fpga::floorplan::Floorplan;
 
     fn node() -> NodeConfig {
@@ -846,7 +579,14 @@ mod tests {
         let n = 60;
         let t_task = node.t_prtr_s();
         let app = App::cycling(0, "a", &cores(), n, t_task, 0.0);
-        let report = run(&node, &[app], &RuntimeConfig::prtr_overlapped(), &dctx()).unwrap();
+        let report = run(
+            &node,
+            &[app],
+            &RuntimeConfig::prtr_overlapped(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
 
         // The executor's all-miss steady state (equation (3) with H = 0,
         // T_decision = 0): one un-hidden leading configuration, then each
@@ -870,7 +610,14 @@ mod tests {
         // 2 modules over 2 PRRs: after warmup everything is resident.
         let node = node();
         let app = App::cycling(0, "a", &cores()[..2], 40, 0.01, 0.0);
-        let report = run(&node, &[app], &RuntimeConfig::prtr_overlapped(), &dctx()).unwrap();
+        let report = run(
+            &node,
+            &[app],
+            &RuntimeConfig::prtr_overlapped(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         assert!(report.hit_ratio() > 0.9, "H = {}", report.hit_ratio());
         assert!(report.n_config <= 3);
     }
@@ -879,8 +626,22 @@ mod tests {
     fn demand_prtr_is_slower_than_overlapped() {
         let node = node();
         let mk = || App::cycling(0, "a", &cores(), 50, node.t_prtr_s(), 0.0);
-        let overlapped = run(&node, &[mk()], &RuntimeConfig::prtr_overlapped(), &dctx()).unwrap();
-        let demand = run(&node, &[mk()], &RuntimeConfig::prtr_demand(), &dctx()).unwrap();
+        let overlapped = run(
+            &node,
+            &[mk()],
+            &RuntimeConfig::prtr_overlapped(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
+        let demand = run(
+            &node,
+            &[mk()],
+            &RuntimeConfig::prtr_demand(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         assert!(
             demand.makespan_s > 1.5 * overlapped.makespan_s,
             "demand {} vs overlapped {}",
@@ -895,7 +656,14 @@ mod tests {
         let n = 5;
         let t_task = 0.01;
         let app = App::cycling(0, "a", &cores(), n, t_task, 0.0);
-        let report = run(&node, &[app], &RuntimeConfig::frtr(), &dctx()).unwrap();
+        let report = run(
+            &node,
+            &[app],
+            &RuntimeConfig::frtr(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         let expected = n as f64 * (node.t_frtr_s() + node.control_overhead_s + t_task);
         assert!((report.makespan_s - expected).abs() / expected < 1e-6);
         assert_eq!(report.n_config as usize, n);
@@ -917,7 +685,14 @@ mod tests {
                 4
             ],
         };
-        let report = run(&node, &[app], &RuntimeConfig::frtr(), &dctx()).unwrap();
+        let report = run(
+            &node,
+            &[app],
+            &RuntimeConfig::frtr(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         assert_eq!(report.n_config, 1);
         assert_eq!(report.per_app[0].hits, 3);
     }
@@ -941,8 +716,22 @@ mod tests {
             ],
         };
         let apps = vec![mk(0, "Median Filter"), mk(1, "Sobel Filter")];
-        let prtr = run(&node, &apps, &RuntimeConfig::prtr_overlapped(), &dctx()).unwrap();
-        let frtr = run(&node, &apps, &RuntimeConfig::frtr(), &dctx()).unwrap();
+        let prtr = run(
+            &node,
+            &apps,
+            &RuntimeConfig::prtr_overlapped(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
+        let frtr = run(
+            &node,
+            &apps,
+            &RuntimeConfig::frtr(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         assert!(
             frtr.makespan_s > 50.0 * prtr.makespan_s,
             "frtr {} vs prtr {}",
@@ -978,12 +767,19 @@ mod tests {
             scheduler: SchedulerKind::Priority,
             ..RuntimeConfig::prtr_overlapped()
         };
-        let report = run(&node, &apps, &cfg, &dctx()).unwrap();
+        let report = run(&node, &apps, &cfg, &FaultPlan::disarmed(), &dctx()).unwrap();
         let t0 = report.per_app[0].turnaround_s;
         let t1 = report.per_app[1].turnaround_s;
         assert!(t1 < t0, "priority app turnaround {t1} vs {t0}");
         // FCFS instead: app0 (scheduled first) wins.
-        let fcfs = run(&node, &apps, &RuntimeConfig::prtr_overlapped(), &dctx()).unwrap();
+        let fcfs = run(
+            &node,
+            &apps,
+            &RuntimeConfig::prtr_overlapped(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         assert!(fcfs.per_app[0].turnaround_s < fcfs.per_app[1].turnaround_s);
     }
 
@@ -992,7 +788,14 @@ mod tests {
         let node = node();
         let mut app = App::cycling(0, "late", &cores()[..1], 1, 0.01, 5.0);
         app.priority = 1;
-        let report = run(&node, &[app], &RuntimeConfig::prtr_demand(), &dctx()).unwrap();
+        let report = run(
+            &node,
+            &[app],
+            &RuntimeConfig::prtr_demand(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         assert!(report.records[0].issued.as_secs_f64() >= 5.0);
         assert!(report.makespan_s >= 5.0 + node.t_prtr_s() + 0.01);
         // Turnaround excludes the waiting-to-arrive time.
@@ -1002,7 +805,13 @@ mod tests {
     #[test]
     fn empty_app_list_rejected() {
         assert!(matches!(
-            run(&node(), &[], &RuntimeConfig::frtr(), &dctx()),
+            run(
+                &node(),
+                &[],
+                &RuntimeConfig::frtr(),
+                &FaultPlan::disarmed(),
+                &dctx()
+            ),
             Err(VirtError::NoApplications)
         ));
     }
@@ -1012,7 +821,13 @@ mod tests {
         let mut app = App::cycling(0, "a", &cores(), 1, 0.01, 0.0);
         app.id = 5;
         assert!(matches!(
-            run(&node(), &[app], &RuntimeConfig::frtr(), &dctx()),
+            run(
+                &node(),
+                &[app],
+                &RuntimeConfig::frtr(),
+                &FaultPlan::disarmed(),
+                &dctx()
+            ),
             Err(VirtError::BadAppIds)
         ));
     }
@@ -1021,9 +836,23 @@ mod tests {
     fn instrumented_run_records_dispatch_latency() {
         let node = node();
         let mk = || App::cycling(0, "a", &cores(), 30, 0.005, 0.0);
-        let plain = run(&node, &[mk()], &RuntimeConfig::prtr_demand(), &dctx()).unwrap();
+        let plain = run(
+            &node,
+            &[mk()],
+            &RuntimeConfig::prtr_demand(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         let ctx = dctx().with_registry(hprc_obs::Registry::new());
-        let traced = run(&node, &[mk()], &RuntimeConfig::prtr_demand(), &ctx).unwrap();
+        let traced = run(
+            &node,
+            &[mk()],
+            &RuntimeConfig::prtr_demand(),
+            &FaultPlan::disarmed(),
+            &ctx,
+        )
+        .unwrap();
         assert_eq!(
             plain, traced,
             "instrumentation must not perturb the schedule"
@@ -1045,8 +874,8 @@ mod tests {
         assert!(snap.counters["sim.queue.popped"] >= 30);
     }
 
-    fn fault_plan(rate: f64, seed: u64) -> hprc_fault::FaultPlan {
-        hprc_fault::FaultPlan::new(
+    fn fault_plan(rate: f64, seed: u64) -> FaultPlan {
+        FaultPlan::new(
             hprc_fault::FaultSpec::uniform(rate),
             hprc_fault::RecoveryPolicy::default(),
             seed,
@@ -1054,27 +883,50 @@ mod tests {
     }
 
     #[test]
-    fn disarmed_run_faulty_is_identical_to_run() {
+    fn never_firing_plan_is_identical_to_disarmed() {
+        // An armed plan whose only site fires with p = 1e-300 takes every
+        // armed branch yet never draws a fault: the schedule must match
+        // the disarmed run exactly, and only the `virt.fault.*`
+        // instruments (all zero) tell the two apart.
+        let never = FaultPlan::new(
+            hprc_fault::FaultSpec {
+                p_api_transfer: 1e-300,
+                ..hprc_fault::FaultSpec::default()
+            },
+            hprc_fault::RecoveryPolicy::default(),
+            5,
+        );
+        assert!(never.armed());
         let node = node();
-        let mk = || App::cycling(0, "a", &cores(), 40, 0.005, 0.0);
-        let cctx = dctx().with_registry(hprc_obs::Registry::new());
-        let fctx = dctx().with_registry(hprc_obs::Registry::new());
-        let clean = run(&node, &[mk()], &RuntimeConfig::prtr_overlapped(), &cctx).unwrap();
-        let faulty = run_faulty(
-            &node,
-            &[mk()],
-            &RuntimeConfig::prtr_overlapped(),
-            &hprc_fault::FaultPlan::disarmed(),
-            &fctx,
-        )
-        .unwrap();
-        assert_eq!(clean, faulty.report);
-        assert_eq!(faulty.dropped_calls, 0);
-        assert!((faulty.availability() - 1.0).abs() < 1e-12);
-        let csnap = cctx.registry.snapshot();
-        let fsnap = fctx.registry.snapshot();
-        assert_eq!(csnap.counters, fsnap.counters);
-        assert_eq!(csnap.histograms, fsnap.histograms);
+        let mk = || {
+            vec![
+                App::cycling(0, "a", &cores(), 40, 0.005, 0.0),
+                App::cycling(1, "b", &cores()[1..], 25, 0.002, 0.01),
+            ]
+        };
+        for cfg in [
+            RuntimeConfig::frtr(),
+            RuntimeConfig::prtr_demand(),
+            RuntimeConfig::prtr_overlapped(),
+        ] {
+            let cctx = dctx().with_registry(hprc_obs::Registry::new());
+            let fctx = dctx().with_registry(hprc_obs::Registry::new());
+            let clean = run(&node, &mk(), &cfg, &FaultPlan::disarmed(), &cctx).unwrap();
+            let armed = run(&node, &mk(), &cfg, &never, &fctx).unwrap();
+            assert_eq!(clean, armed, "{cfg:?}");
+            assert_eq!(armed.dropped_calls, 0);
+            assert_eq!(armed.availability(), 1.0);
+            let csnap = cctx.registry.snapshot();
+            let mut fsnap = fctx.registry.snapshot();
+            assert!(!csnap.counters.keys().any(|k| k.starts_with("virt.fault.")));
+            fsnap.counters.retain(|k, v| {
+                let fault = k.starts_with("virt.fault.");
+                assert!(!fault || *v == 0, "{k} = {v}");
+                !fault
+            });
+            assert_eq!(csnap.counters, fsnap.counters);
+            assert_eq!(csnap.histograms, fsnap.histograms);
+        }
     }
 
     #[test]
@@ -1082,8 +934,15 @@ mod tests {
         let node = node();
         let mk = || App::cycling(0, "a", &cores(), 60, 0.01, 0.0);
         let plan = fault_plan(0.2, 17);
-        let clean = run(&node, &[mk()], &RuntimeConfig::prtr_demand(), &dctx()).unwrap();
-        let a = run_faulty(
+        let clean = run(
+            &node,
+            &[mk()],
+            &RuntimeConfig::prtr_demand(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
+        let a = run(
             &node,
             &[mk()],
             &RuntimeConfig::prtr_demand(),
@@ -1091,7 +950,7 @@ mod tests {
             &dctx(),
         )
         .unwrap();
-        let b = run_faulty(
+        let b = run(
             &node,
             &[mk()],
             &RuntimeConfig::prtr_demand(),
@@ -1102,17 +961,20 @@ mod tests {
         assert_eq!(a, b, "same plan, same schedule");
         assert!(a.recovered + a.dropped_calls > 0, "faults must land");
         assert!(
-            a.report.makespan_s > clean.makespan_s,
+            a.makespan_s > clean.makespan_s,
             "faulty {} vs clean {}",
-            a.report.makespan_s,
+            a.makespan_s,
             clean.makespan_s
         );
         // Recovery stretches are visible in the timeline.
-        assert!(a
-            .report
-            .timeline
-            .iter()
-            .any(|e| e.kind == EventKind::Recovery));
+        assert!(a.timeline.iter().any(|e| e.kind == EventKind::Recovery));
+        // The whole chain is charged at the timeline's resolution.
+        for r in &a.records {
+            assert_eq!(
+                SimDuration::from_secs_f64(r.config_s).as_secs_f64(),
+                r.config_s
+            );
+        }
     }
 
     #[test]
@@ -1123,21 +985,17 @@ mod tests {
             p_api_transfer: 1.0,
             ..hprc_fault::FaultSpec::default()
         };
-        let plan = hprc_fault::FaultPlan::new(spec, hprc_fault::RecoveryPolicy::default(), 3);
+        let plan = FaultPlan::new(spec, hprc_fault::RecoveryPolicy::default(), 3);
         let app = App::cycling(0, "a", &cores(), 30, 0.01, 0.0);
         let ctx = dctx().with_registry(hprc_obs::Registry::new());
-        let faulty = run_faulty(&node, &[app], &RuntimeConfig::prtr_demand(), &plan, &ctx).unwrap();
+        let faulty = run(&node, &[app], &RuntimeConfig::prtr_demand(), &plan, &ctx).unwrap();
         // Nothing ever configures: every call is a dropped miss.
         assert_eq!(faulty.dropped_calls, 30);
-        assert_eq!(faulty.report.n_config, 0);
+        assert_eq!(faulty.n_config, 0);
         assert_eq!(faulty.availability(), 0.0);
         assert_eq!(faulty.blacklisted_slots, node.n_prrs);
-        assert_eq!(faulty.report.records.len(), 30);
-        assert!(faulty
-            .report
-            .records
-            .iter()
-            .all(|r| r.exec_start == r.exec_end));
+        assert_eq!(faulty.records.len(), 30);
+        assert!(faulty.records.iter().all(|r| r.exec_start == r.exec_end));
         let snap = ctx.registry.snapshot();
         assert_eq!(snap.counters["virt.fault.dropped"], 30);
         assert_eq!(
@@ -1153,10 +1011,17 @@ mod tests {
             p_seu: 0.4,
             ..hprc_fault::FaultSpec::default()
         };
-        let plan = hprc_fault::FaultPlan::new(spec, hprc_fault::RecoveryPolicy::default(), 23);
+        let plan = FaultPlan::new(spec, hprc_fault::RecoveryPolicy::default(), 23);
         let mk = || App::cycling(0, "a", &cores()[..2], 60, 0.005, 0.0);
-        let clean = run(&node, &[mk()], &RuntimeConfig::prtr_demand(), &dctx()).unwrap();
-        let faulty = run_faulty(
+        let clean = run(
+            &node,
+            &[mk()],
+            &RuntimeConfig::prtr_demand(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
+        let faulty = run(
             &node,
             &[mk()],
             &RuntimeConfig::prtr_demand(),
@@ -1167,9 +1032,9 @@ mod tests {
         assert!(faulty.seu_invalidations > 0);
         assert_eq!(faulty.dropped_calls, 0);
         assert!(
-            faulty.report.hit_ratio() < clean.hit_ratio(),
+            faulty.hit_ratio() < clean.hit_ratio(),
             "H {} !< clean {}",
-            faulty.report.hit_ratio(),
+            faulty.hit_ratio(),
             clean.hit_ratio()
         );
     }
@@ -1181,23 +1046,38 @@ mod tests {
             p_api_transfer: 0.5,
             ..hprc_fault::FaultSpec::default()
         };
-        let plan = hprc_fault::FaultPlan::new(spec, hprc_fault::RecoveryPolicy::default(), 41);
+        let plan = FaultPlan::new(spec, hprc_fault::RecoveryPolicy::default(), 41);
         let app = App::cycling(0, "a", &cores(), 20, 0.01, 0.0);
-        let faulty = run_faulty(&node, &[app], &RuntimeConfig::frtr(), &plan, &dctx()).unwrap();
+        let faulty = run(&node, &[app], &RuntimeConfig::frtr(), &plan, &dctx()).unwrap();
         assert!(faulty.recovered + faulty.dropped_calls > 0);
         assert_eq!(faulty.escalated_full, 0, "FRTR has nothing to escalate");
         assert_eq!(faulty.blacklisted_slots, 0);
-        assert_eq!(faulty.report.records.len(), 20);
+        assert_eq!(faulty.records.len(), 20);
     }
 
     #[test]
     fn config_fraction_accounting() {
         let node = node();
         let app = App::cycling(0, "a", &cores(), 30, 0.001, 0.0);
-        let report = run(&node, &[app], &RuntimeConfig::prtr_demand(), &dctx()).unwrap();
+        let report = run(
+            &node,
+            &[app],
+            &RuntimeConfig::prtr_demand(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
         assert!(report.config_fraction() > 0.5, "config-bound workload");
         assert!(report.config_fraction() <= 1.0);
         let busy = report.timeline.lane_busy_s(Lane::ConfigPort);
         assert!((busy - report.config_busy_s).abs() < 1e-9);
+        // Each miss is charged exactly the nanosecond span it occupies.
+        let t_config = SimDuration::from_secs_f64(node.t_prtr_s()).as_secs_f64();
+        assert_ne!(t_config, node.t_prtr_s(), "T_PRTR is not whole ns");
+        for r in report.records.iter().filter(|r| !r.hit) {
+            assert_eq!(r.config_s, t_config);
+        }
+        let charged = report.records.iter().fold(0.0, |acc, r| acc + r.config_s);
+        assert_eq!(report.config_busy_s, charged);
     }
 }

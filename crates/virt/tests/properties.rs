@@ -1,6 +1,7 @@
 //! Property-based tests of the virtualization runtime.
 
 use hprc_ctx::ExecCtx;
+use hprc_fault::{FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_fpga::floorplan::Floorplan;
 use hprc_sim::node::NodeConfig;
 use hprc_virt::app::{App, VirtCall};
@@ -44,6 +45,18 @@ fn arb_apps() -> impl Strategy<Value = Vec<App>> {
     })
 }
 
+/// The disarmed plan, or an armed one with a uniform rate in
+/// `[0, 0.5]` and any seed.
+fn arb_plan() -> impl Strategy<Value = FaultPlan> {
+    (any::<bool>(), 0.0f64..=0.5, any::<u64>()).prop_map(|(armed, rate, seed)| {
+        if armed {
+            FaultPlan::new(FaultSpec::uniform(rate), RecoveryPolicy::default(), seed)
+        } else {
+            FaultPlan::disarmed()
+        }
+    })
+}
+
 fn node() -> NodeConfig {
     NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr())
 }
@@ -51,40 +64,60 @@ fn node() -> NodeConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every call is served exactly once; hits + configs are consistent;
-    /// makespan bounds hold.
+    /// Under any plan every call is served exactly once (dropped calls
+    /// as zero-length records); configurations and drops account for
+    /// every miss; makespan bounds hold over the calls that executed.
     #[test]
-    fn accounting_invariants(apps in arb_apps()) {
+    fn accounting_invariants(apps in arb_apps(), plan in arb_plan()) {
         for cfg in [
             RuntimeConfig::frtr(),
             RuntimeConfig::prtr_demand(),
             RuntimeConfig::prtr_overlapped(),
         ] {
             let node = node();
-            let report = run(&node, &apps, &cfg, &ExecCtx::default()).unwrap();
+            let report = run(&node, &apps, &cfg, &plan, &ExecCtx::default()).unwrap();
             let total_calls: usize = apps.iter().map(|a| a.calls.len()).sum();
             prop_assert_eq!(report.records.len(), total_calls);
             let served: u64 = report.per_app.iter().map(|a| a.calls).sum();
             prop_assert_eq!(served as usize, total_calls);
 
-            // Makespan is at least the busiest app's arrival + pure exec.
-            let lower = apps
-                .iter()
-                .map(|a| a.arrival_s + a.pure_exec_s())
-                .fold(0.0f64, f64::max);
-            prop_assert!(report.makespan_s + 1e-9 >= lower);
-
-            // Demand configurations = misses (overlap adds speculative ones).
+            // Every miss either configured or was dropped (overlap adds
+            // speculative configurations on top).
             let misses: u64 = report
                 .records
                 .iter()
                 .filter(|r| !r.hit)
                 .count() as u64;
+            prop_assert!(report.dropped_calls <= misses);
             if !cfg.prefetch_next {
-                prop_assert_eq!(report.n_config, misses);
+                prop_assert_eq!(report.n_config + report.dropped_calls, misses);
             } else {
-                prop_assert!(report.n_config >= misses.min(1));
+                prop_assert!(report.n_config + report.dropped_calls >= misses);
             }
+            if !plan.armed() {
+                prop_assert_eq!(report.dropped_calls, 0);
+                prop_assert_eq!(report.availability(), 1.0);
+            }
+
+            // Makespan is at least the busiest app's arrival + the pure
+            // execution time of its calls that executed. An app's
+            // records come in its call order; a dropped call's record
+            // has an empty execution window.
+            let lower = apps
+                .iter()
+                .map(|a| {
+                    let executed: f64 = report
+                        .records
+                        .iter()
+                        .filter(|r| r.app == a.id)
+                        .zip(&a.calls)
+                        .filter(|(r, _)| r.exec_end > r.exec_start)
+                        .map(|(_, c)| c.t_task_s)
+                        .sum();
+                    a.arrival_s + executed
+                })
+                .fold(0.0f64, f64::max);
+            prop_assert!(report.makespan_s + 1e-9 >= lower);
 
             // Turnarounds are positive and bounded by the makespan.
             for (a, s) in apps.iter().zip(&report.per_app) {
@@ -96,13 +129,39 @@ proptest! {
         }
     }
 
-    /// The runtime is deterministic: identical inputs give identical
-    /// reports.
+    /// The runtime is deterministic: identical inputs and plan give
+    /// identical reports.
     #[test]
-    fn deterministic(apps in arb_apps()) {
-        let a = run(&node(), &apps, &RuntimeConfig::prtr_overlapped(), &ExecCtx::default()).unwrap();
-        let b = run(&node(), &apps, &RuntimeConfig::prtr_overlapped(), &ExecCtx::default()).unwrap();
+    fn deterministic(apps in arb_apps(), plan in arb_plan()) {
+        let a = run(&node(), &apps, &RuntimeConfig::prtr_overlapped(), &plan, &ExecCtx::default()).unwrap();
+        let b = run(&node(), &apps, &RuntimeConfig::prtr_overlapped(), &plan, &ExecCtx::default()).unwrap();
         prop_assert_eq!(a, b);
+    }
+
+    /// An armed plan that never fires takes every armed branch and
+    /// still returns exactly the disarmed report, on the dual- and
+    /// quad-PRR nodes under every configuration.
+    #[test]
+    fn never_firing_plan_is_inert(apps in arb_apps()) {
+        let never = FaultPlan::new(
+            FaultSpec { p_api_transfer: 1e-300, ..FaultSpec::default() },
+            RecoveryPolicy::default(),
+            11,
+        );
+        for node in [
+            NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr()),
+            NodeConfig::xd1_measured(&Floorplan::xd1_quad_prr()),
+        ] {
+            for cfg in [
+                RuntimeConfig::frtr(),
+                RuntimeConfig::prtr_demand(),
+                RuntimeConfig::prtr_overlapped(),
+            ] {
+                let a = run(&node, &apps, &cfg, &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
+                let b = run(&node, &apps, &cfg, &never, &ExecCtx::default()).unwrap();
+                prop_assert_eq!(a, b);
+            }
+        }
     }
 
     /// PRTR (demand) never loses to FRTR on these workloads: partial
@@ -111,8 +170,8 @@ proptest! {
     #[test]
     fn prtr_no_worse_than_frtr(apps in arb_apps()) {
         let node = node();
-        let frtr = run(&node, &apps, &RuntimeConfig::frtr(), &ExecCtx::default()).unwrap();
-        let prtr = run(&node, &apps, &RuntimeConfig::prtr_demand(), &ExecCtx::default()).unwrap();
+        let frtr = run(&node, &apps, &RuntimeConfig::frtr(), &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
+        let prtr = run(&node, &apps, &RuntimeConfig::prtr_demand(), &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
         prop_assert!(
             prtr.makespan_s <= frtr.makespan_s * 1.0001,
             "prtr {} vs frtr {}",
@@ -127,7 +186,7 @@ proptest! {
     fn slots_are_exclusive(apps in arb_apps()) {
         use hprc_sim::trace::{EventKind, Lane};
         let node = node();
-        let report = run(&node, &apps, &RuntimeConfig::prtr_overlapped(), &ExecCtx::default()).unwrap();
+        let report = run(&node, &apps, &RuntimeConfig::prtr_overlapped(), &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
         for slot in 0..node.n_prrs {
             let mut windows: Vec<(u64, u64)> = report
                 .timeline
@@ -147,7 +206,7 @@ proptest! {
     fn config_port_serializes(apps in arb_apps()) {
         use hprc_sim::trace::Lane;
         let node = node();
-        let report = run(&node, &apps, &RuntimeConfig::prtr_overlapped(), &ExecCtx::default()).unwrap();
+        let report = run(&node, &apps, &RuntimeConfig::prtr_overlapped(), &FaultPlan::disarmed(), &ExecCtx::default()).unwrap();
         let mut windows: Vec<(u64, u64)> = report
             .timeline
             .iter()

@@ -49,7 +49,14 @@ fn main() {
             },
         ),
     ] {
-        let report = run_virtualized(&node, &apps, &cfg, &ExecCtx::default()).unwrap();
+        let report = run_virtualized(
+            &node,
+            &apps,
+            &cfg,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        )
+        .unwrap();
         println!("=== {name} ===");
         println!(
             "makespan {:.3} s | {} configs | config port busy {:.0}% | overall H = {:.2}",
@@ -79,6 +86,7 @@ fn main() {
         &node,
         &small,
         &RuntimeConfig::prtr_overlapped(),
+        &FaultPlan::disarmed(),
         &ExecCtx::default(),
     )
     .unwrap();

@@ -80,8 +80,22 @@ fn virtualization_runtime_is_replayable() {
         RuntimeConfig::prtr_demand(),
         RuntimeConfig::prtr_overlapped(),
     ] {
-        let a = run_virt(&node, &apps, &cfg, &ExecCtx::default()).unwrap();
-        let b = run_virt(&node, &apps, &cfg, &ExecCtx::default()).unwrap();
+        let a = run_virt(
+            &node,
+            &apps,
+            &cfg,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        )
+        .unwrap();
+        let b = run_virt(
+            &node,
+            &apps,
+            &cfg,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        )
+        .unwrap();
         assert_eq!(a, b);
     }
 }
