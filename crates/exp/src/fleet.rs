@@ -36,8 +36,6 @@ use hprc_sched::traces::TraceSpec;
 use hprc_sim::executor::run_prtr;
 use hprc_sim::node::NodeConfig;
 use serde::Serialize;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::scenario::prtr_calls;
 
@@ -231,7 +229,7 @@ fn run_node(
         return Ok((outcome, js));
     }
     let mut policy = Markov::new();
-    let sched = hprc_sched::simulate_faulty(
+    let sched = hprc_sched::simulate(
         &trace[..live],
         node_cfg.n_prrs,
         &mut policy,
@@ -239,7 +237,7 @@ fn run_node(
         &plan,
         child,
     );
-    let calls = prtr_calls(&node_cfg, &trace[..live], &sched.base, node_cfg.t_prtr_s());
+    let calls = prtr_calls(&node_cfg, &trace[..live], &sched, node_cfg.t_prtr_s());
     let prtr = run_prtr(&node_cfg, &calls, &plan, child).map_err(|e| FleetError::Node {
         node: i,
         error: e.to_string(),
@@ -250,13 +248,13 @@ fn run_node(
         node: i,
         rack: topo.rack_of(i),
         offered: spec.len as u64,
-        admitted: sched.base.stats.calls,
-        served: sched.base.stats.calls - sched.dropped,
-        hits: sched.base.stats.hits,
+        admitted: sched.stats.calls,
+        served: sched.stats.calls - sched.dropped,
+        hits: sched.stats.hits,
         dropped: sched.dropped,
         killed_at,
         cut_at: child.budget.cutoff_seq(),
-        hit_ratio: sched.base.hit_ratio(),
+        hit_ratio: sched.hit_ratio(),
         end_ns: prtr.total.0,
     };
     Ok((outcome, js))
@@ -316,60 +314,21 @@ pub fn run_fleet(
         })
         .collect();
 
-    let jobs = ctx.effective_jobs().min(n.max(1));
-    type Slot = Option<Result<(NodeOutcome, Option<SpanId>), FleetError>>;
-    let mut slots: Vec<Slot> = if jobs <= 1 {
-        children
-            .iter()
-            .enumerate()
-            .map(|(i, child)| {
-                Some(run_node(
-                    i,
-                    spec,
-                    &topo,
-                    base_trace_seed,
-                    base_plan_seed,
-                    &kill_plan,
-                    child,
-                ))
-            })
-            .collect()
-    } else {
-        let mut slots: Vec<Slot> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(slots);
-        let next = AtomicUsize::new(0);
-        let children = &children;
-        let topo_ref = &topo;
-        let kill_ref = &kill_plan;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = run_node(
-                        i,
-                        spec,
-                        topo_ref,
-                        base_trace_seed,
-                        base_plan_seed,
-                        kill_ref,
-                        &children[i],
-                    );
-                    slots.lock().expect("fleet slots lock")[i] = Some(value);
-                });
-            }
-        })
-        .expect("fleet scope");
-        slots.into_inner().expect("fleet slots lock")
-    };
-    // The lowest-index node error wins deterministically (slots are
+    let nodes = crate::runner::dispense(n, ctx.effective_jobs(), |i| {
+        run_node(
+            i,
+            spec,
+            &topo,
+            base_trace_seed,
+            base_plan_seed,
+            &kill_plan,
+            &children[i],
+        )
+    });
+    // The lowest-index node error wins deterministically (results are
     // drained in index order), regardless of worker interleaving.
-    let (outcomes, work_spans): (Vec<NodeOutcome>, Vec<Option<SpanId>>) = slots
-        .iter_mut()
-        .map(|slot| slot.take().expect("every node completed"))
+    let (outcomes, work_spans): (Vec<NodeOutcome>, Vec<Option<SpanId>>) = nodes
+        .into_iter()
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
         .unzip();

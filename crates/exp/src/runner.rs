@@ -53,40 +53,12 @@ where
         return out;
     }
 
-    let jobs = ctx.effective_jobs().min(n.max(1));
     let shards = ShardedRegistry::new(&ctx.registry, n);
     let children: Vec<ExecCtx> = (0..n)
         .map(|i| ctx.child(i).with_registry(shards.shard(i).clone()))
         .collect();
 
-    let mut results: Vec<Option<T>> = if jobs <= 1 {
-        children
-            .iter()
-            .enumerate()
-            .map(|(i, child)| Some(f(i, child)))
-            .collect()
-    } else {
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
-        let slots = Mutex::new(slots);
-        let next = AtomicUsize::new(0);
-        let f = &f;
-        let children = &children;
-        crossbeam::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(i, &children[i]);
-                    slots.lock().expect("runner slots lock")[i] = Some(value);
-                });
-            }
-        })
-        .expect("runner scope");
-        slots.into_inner().expect("runner slots lock")
-    };
+    let results = dispense(n, ctx.effective_jobs(), |i| f(i, &children[i]));
 
     // Index-ordered merge reproduces the serial instrument state — for
     // the sharded registry and the per-child journals alike.
@@ -95,8 +67,48 @@ where
         ctx.journal.merge_from(&child.journal);
     }
     results
-        .iter_mut()
-        .map(|slot| slot.take().expect("every index completed"))
+}
+
+/// Evaluates `f(i)` for every `i in 0..n` on up to `jobs` scoped
+/// threads that pull indices from one shared dispenser (dynamic load
+/// balancing), and returns the results in index order. With
+/// `jobs <= 1` everything runs on the calling thread.
+///
+/// # Panics
+///
+/// Propagates a panic from `f` (all other workers are joined first).
+pub(crate) fn dispense<T, F>(n: usize, jobs: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let jobs = jobs.min(n);
+    if jobs <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
+    slots.resize_with(n, || None);
+    let slots = Mutex::new(slots);
+    let next = AtomicUsize::new(0);
+    let f = &f;
+    crossbeam::thread::scope(|s| {
+        for _ in 0..jobs {
+            s.spawn(|_| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                let value = f(i);
+                slots.lock().expect("runner slots lock")[i] = Some(value);
+            });
+        }
+    })
+    .expect("runner scope");
+    slots
+        .into_inner()
+        .expect("runner slots lock")
+        .into_iter()
+        .map(|slot| slot.expect("every index completed"))
         .collect()
 }
 

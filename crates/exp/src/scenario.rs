@@ -117,7 +117,7 @@ pub struct PointRun {
     pub params: ModelParams,
     /// The cache simulation outcome with its fault accounting (fates,
     /// wipes, blacklists, drops — all zero under a disarmed plan).
-    pub sched: hprc_sched::FaultyOutcome,
+    pub sched: SimulationOutcome,
 }
 
 impl PointRun {
@@ -130,7 +130,7 @@ impl PointRun {
 
 /// Runs one sweep point under `plan`: generates the workload,
 /// simulates the cache with `policy`
-/// ([`simulate_faulty`](hprc_sched::simulate_faulty)), executes both
+/// ([`simulate`](fn@hprc_sched::simulate)), executes both
 /// FRTR and PRTR on the node simulator, and evaluates the model at the
 /// *measured* hit ratio. A clean point passes
 /// [`FaultPlan::disarmed`](hprc_fault::FaultPlan::disarmed).
@@ -160,13 +160,13 @@ pub fn run_point(
 ) -> PointRun {
     let jp = ctx.journal.enter("scenario.point", 0, 0);
     let trace = trace_spec.generate(trace_seed);
-    let sched = hprc_sched::simulate_faulty(&trace, node.n_prrs, policy, prefetch, plan, ctx);
-    let calls = prtr_calls(node, &trace, &sched.base, t_task);
+    let sched = hprc_sched::simulate(&trace, node.n_prrs, policy, prefetch, plan, ctx);
+    let calls = prtr_calls(node, &trace, &sched, t_task);
     let t_task_actual = calls[0].task.task_time_s(node);
     let frtr_calls: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
     let frtr = run_frtr(node, &frtr_calls, plan, ctx).expect("FRTR run");
     let prtr = run_prtr(node, &calls, plan, ctx).expect("PRTR run");
-    let hit_ratio = sched.base.hit_ratio();
+    let hit_ratio = sched.hit_ratio();
     let params = model_params_for(node, t_task_actual, hit_ratio, trace.len() as u64);
     ctx.registry.gauge("exp.measured_hit_ratio").set(hit_ratio);
     let point = SweepPoint {
@@ -391,10 +391,11 @@ mod tests {
             &ctx,
         );
         let trace = spec.generate(7);
-        let outcome = hprc_sched::simulate(&trace, node.n_prrs, &mut Markov::new(), true, &ctx);
+        let outcome =
+            hprc_sched::simulate(&trace, node.n_prrs, &mut Markov::new(), true, &clean, &ctx);
         let calls = prtr_calls(&node, &trace, &outcome, t_task);
         let tasks: Vec<TaskCall> = calls.iter().map(|c| c.task).collect();
-        assert_eq!(run.sched.base, outcome);
+        assert_eq!(run.sched, outcome);
         assert_eq!(run.frtr, run_frtr(&node, &tasks, &clean, &ctx).unwrap());
         assert_eq!(run.prtr, run_prtr(&node, &calls, &clean, &ctx).unwrap());
         assert_eq!(run.sched.dropped, 0);

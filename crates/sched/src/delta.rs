@@ -42,14 +42,13 @@
 
 use std::sync::Arc;
 
-use hprc_fault::FaultPlan;
+use hprc_fault::{CallFate, FaultPlan};
 use hprc_obs::delta::bytes as dbytes;
 use hprc_obs::DeltaCache;
 
 use crate::cache::{CacheStats, ConfigCache, TaskId};
-use crate::faulty::{simulate_faulty_inner, FaultyOutcome, FaultySim};
 use crate::policy::Policy;
-use crate::simulate::{simulate_inner, CleanSim, SimulationOutcome};
+use crate::simulate::{simulate_inner, Sim, SimulationOutcome};
 
 /// Snapshot cadence: a resume snapshot is captured before every
 /// `SNAPSHOT_EVERY`-th call, bounding re-simulation after a replay to
@@ -81,7 +80,10 @@ fn sorted_tasks(s: &std::collections::HashSet<TaskId>) -> Vec<TaskId> {
 // Clean skeletons
 // ---------------------------------------------------------------------------
 
-/// One clean simulation state, frozen before call `i`.
+/// One clean simulation state, frozen before call `i`. It resumes into
+/// a [`Sim`] under the disarmed plan, whose fresh
+/// [`FaultState`](hprc_fault::FaultState) is exactly what a clean run
+/// carries (nothing blacklisted, nothing escalated).
 pub(crate) struct CleanSnapshot {
     i: usize,
     cache: ConfigCache,
@@ -90,7 +92,10 @@ pub(crate) struct CleanSnapshot {
     stats: CacheStats,
 }
 
-/// One memoized clean run.
+/// One memoized clean run. Its outcome holds no fates: under the
+/// disarmed plan every fate is [`CallFate::clean_partial`], so they
+/// are rebuilt on replay rather than held (and the byte estimate
+/// below charges only what is held).
 pub(crate) struct CleanSkeleton {
     trace: Vec<TaskId>,
     outcome: SimulationOutcome,
@@ -125,7 +130,7 @@ fn clean_variant_bytes(vs: &[Arc<CleanSkeleton>]) -> u64 {
 }
 
 /// The memoizing clean-simulation entry point; behaviorally identical
-/// to [`simulate_inner`] call for call.
+/// to [`simulate_inner`] under the disarmed plan, call for call.
 pub(crate) fn simulate_clean_delta(
     trace: &[TaskId],
     slots: usize,
@@ -136,7 +141,7 @@ pub(crate) fn simulate_clean_delta(
     let Some(policy0) = policy.delta_state() else {
         // The policy opted out of memoization: longhand, invisible to
         // the cache (no lookup counted).
-        return simulate_inner(trace, slots, policy, prefetch);
+        return simulate_inner(trace, slots, policy, prefetch, &FaultPlan::disarmed());
     };
     let key = clean_base_key(slots, prefetch, policy.name(), &policy0);
     let variants: Option<Arc<Vec<Arc<CleanSkeleton>>>> =
@@ -150,7 +155,9 @@ pub(crate) fn simulate_clean_delta(
         if let Some(sk) = vs.iter().find(|sk| sk.trace == trace) {
             if policy.delta_restore(&sk.final_policy) {
                 delta.note_full_hit(trace.len() as u64);
-                return sk.outcome.clone();
+                let mut out = sk.outcome.clone();
+                out.fates.resize(trace.len(), CallFate::clean_partial());
+                return out;
             }
         }
     }
@@ -166,8 +173,7 @@ pub(crate) fn simulate_clean_delta(
         }
     }
 
-    let mut sim = CleanSim::new(slots);
-    sim.outcomes.reserve(trace.len());
+    let mut sim = Sim::new(FaultPlan::disarmed(), slots, trace.len());
     let mut start = 0usize;
     let mut snapshots: Vec<Arc<CleanSnapshot>> = Vec::new();
     if let Some((d, sk)) = best {
@@ -177,6 +183,7 @@ pub(crate) fn simulate_clean_delta(
                 sim.stats = snap.stats;
                 sim.outcomes
                     .extend_from_slice(&sk.outcome.outcomes[..snap.i]);
+                sim.fates.resize(snap.i, CallFate::clean_partial());
                 sim.speculative = snap.speculative.iter().copied().collect();
                 start = snap.i;
                 // Prefix snapshots precede the divergence, so they
@@ -215,7 +222,11 @@ pub(crate) fn simulate_clean_delta(
     }
     vs.push(Arc::new(CleanSkeleton {
         trace: trace.to_vec(),
-        outcome: outcome.clone(),
+        outcome: SimulationOutcome {
+            outcomes: outcome.outcomes.clone(),
+            fates: Vec::new(),
+            ..outcome
+        },
         final_policy,
         snapshots,
         prefix_safe: policy.delta_prefix_safe(),
@@ -251,7 +262,7 @@ pub(crate) struct FaultySnapshot {
 pub(crate) struct FaultySkeleton {
     trace: Vec<TaskId>,
     plan: FaultPlan,
-    outcome: FaultyOutcome,
+    outcome: SimulationOutcome,
     final_policy: Vec<u8>,
     snapshots: Vec<Arc<FaultySnapshot>>,
     prefix_safe: bool,
@@ -293,7 +304,7 @@ fn consulted_draws_agree(
     b: &FaultPlan,
     call: u64,
     was_hit: bool,
-    fate: &hprc_fault::CallFate,
+    fate: &CallFate,
     slots: usize,
 ) -> bool {
     if !was_hit {
@@ -320,7 +331,7 @@ fn faulty_variant_bytes(vs: &[Arc<FaultySkeleton>]) -> u64 {
                 .map(|s| 128 + s.cache.slot_count() * 24 + s.policy.len() + s.speculative.len() * 8)
                 .sum();
             (sk.trace.len() * 8
-                + sk.outcome.base.outcomes.len() * 24
+                + sk.outcome.outcomes.len() * 24
                 + sk.outcome.fates.len() * 48
                 + sk.final_policy.len()
                 + snaps) as u64
@@ -330,7 +341,7 @@ fn faulty_variant_bytes(vs: &[Arc<FaultySkeleton>]) -> u64 {
 }
 
 /// The memoizing faulty-simulation entry point; behaviorally identical
-/// to [`simulate_faulty_inner`] call for call.
+/// to [`simulate_inner`] call for call.
 pub(crate) fn simulate_faulty_delta(
     trace: &[TaskId],
     slots: usize,
@@ -338,9 +349,9 @@ pub(crate) fn simulate_faulty_delta(
     prefetch: bool,
     plan: &FaultPlan,
     delta: &DeltaCache,
-) -> FaultyOutcome {
+) -> SimulationOutcome {
     let Some(policy0) = policy.delta_state() else {
-        return simulate_faulty_inner(trace, slots, policy, prefetch, plan);
+        return simulate_inner(trace, slots, policy, prefetch, plan);
     };
     let key = faulty_base_key(slots, prefetch, policy.name(), &policy0, plan);
     let variants: Option<Arc<Vec<Arc<FaultySkeleton>>>> =
@@ -364,7 +375,7 @@ pub(crate) fn simulate_faulty_delta(
                     &sk.plan,
                     plan,
                     c as u64,
-                    sk.outcome.base.outcomes[c].is_hit(),
+                    sk.outcome.outcomes[c].is_hit(),
                     &sk.outcome.fates[c],
                     slots,
                 )
@@ -395,9 +406,7 @@ pub(crate) fn simulate_faulty_delta(
         }
     }
 
-    let mut sim = FaultySim::new(*plan, slots);
-    sim.outcomes.reserve(trace.len());
-    sim.fates.reserve(trace.len());
+    let mut sim = Sim::new(*plan, slots, trace.len());
     let mut start = 0usize;
     let mut snapshots: Vec<Arc<FaultySnapshot>> = Vec::new();
     if let Some((d, sk)) = best {
@@ -412,7 +421,7 @@ pub(crate) fn simulate_faulty_delta(
                 sim.state = state;
                 sim.stats = snap.stats;
                 sim.outcomes
-                    .extend_from_slice(&sk.outcome.base.outcomes[..snap.i]);
+                    .extend_from_slice(&sk.outcome.outcomes[..snap.i]);
                 sim.fates.extend_from_slice(&sk.outcome.fates[..snap.i]);
                 sim.speculative = snap.speculative.iter().copied().collect();
                 sim.seu_invalidations = snap.seu_invalidations;
@@ -471,7 +480,6 @@ pub(crate) fn simulate_faulty_delta(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faulty::simulate_faulty;
     use crate::policies::{
         AlwaysMiss, AssociationRule, Belady, Fifo, Lfu, Lru, Markov, RandomPolicy,
     };
@@ -577,14 +585,44 @@ mod tests {
         // Two passes: the second is all warm.
         for _ in 0..2 {
             for t in &traces {
-                let with = simulate(t, 3, &mut Markov::new(), true, &dctx);
-                let without = simulate(t, 3, &mut Markov::new(), true, &ExecCtx::default());
+                let with = simulate(
+                    t,
+                    3,
+                    &mut Markov::new(),
+                    true,
+                    &FaultPlan::disarmed(),
+                    &dctx,
+                );
+                let without = simulate(
+                    t,
+                    3,
+                    &mut Markov::new(),
+                    true,
+                    &FaultPlan::disarmed(),
+                    &ExecCtx::default(),
+                );
                 assert_eq!(with, without);
             }
         }
         let acct = delta.account().unwrap();
         assert_eq!(acct.lookups, 8);
         assert!(acct.full_hits >= 4, "second pass warm-hits: {acct:?}");
+    }
+
+    #[test]
+    fn clean_skeletons_hold_no_fates() {
+        let delta = DeltaCache::new(1 << 20);
+        let dctx = ExecCtx::default().with_delta(delta.clone());
+        let t = cycle_trace(3, 200);
+        let out = simulate(&t, 3, &mut Lru::new(), false, &FaultPlan::disarmed(), &dctx);
+        assert_eq!(out.fates.len(), t.len());
+        let lru = Lru::new();
+        let key = clean_base_key(3, false, lru.name(), &lru.delta_state().unwrap());
+        let vs: Arc<Vec<Arc<CleanSkeleton>>> =
+            delta.get(&key).and_then(|v| v.downcast().ok()).unwrap();
+        assert_eq!(vs.len(), 1);
+        assert!(vs[0].outcome.fates.is_empty());
+        assert_eq!(vs[0].outcome.outcomes, out.outcomes);
     }
 
     #[test]
@@ -597,10 +635,38 @@ mod tests {
         for t in &mut variant[250..] {
             *t = TaskId((t.0 + 1) % 6);
         }
-        let a = simulate(&base, 3, &mut Lru::new(), false, &dctx);
-        let b = simulate(&variant, 3, &mut Lru::new(), false, &dctx);
-        let a0 = simulate(&base, 3, &mut Lru::new(), false, &ExecCtx::default());
-        let b0 = simulate(&variant, 3, &mut Lru::new(), false, &ExecCtx::default());
+        let a = simulate(
+            &base,
+            3,
+            &mut Lru::new(),
+            false,
+            &FaultPlan::disarmed(),
+            &dctx,
+        );
+        let b = simulate(
+            &variant,
+            3,
+            &mut Lru::new(),
+            false,
+            &FaultPlan::disarmed(),
+            &dctx,
+        );
+        let a0 = simulate(
+            &base,
+            3,
+            &mut Lru::new(),
+            false,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        );
+        let b0 = simulate(
+            &variant,
+            3,
+            &mut Lru::new(),
+            false,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        );
         assert_eq!(a, a0);
         assert_eq!(b, b0);
         let acct = delta.account().unwrap();
@@ -619,21 +685,56 @@ mod tests {
         let mut variant = base.clone();
         let last = variant.len() - 1;
         variant[last] = TaskId((variant[last].0 + 1) % 6);
-        let a = simulate(&base, 2, &mut Belady::new(), false, &dctx);
-        let b = simulate(&variant, 2, &mut Belady::new(), false, &dctx);
+        let a = simulate(
+            &base,
+            2,
+            &mut Belady::new(),
+            false,
+            &FaultPlan::disarmed(),
+            &dctx,
+        );
+        let b = simulate(
+            &variant,
+            2,
+            &mut Belady::new(),
+            false,
+            &FaultPlan::disarmed(),
+            &dctx,
+        );
         assert_eq!(
             a,
-            simulate(&base, 2, &mut Belady::new(), false, &ExecCtx::default())
+            simulate(
+                &base,
+                2,
+                &mut Belady::new(),
+                false,
+                &FaultPlan::disarmed(),
+                &ExecCtx::default()
+            )
         );
         assert_eq!(
             b,
-            simulate(&variant, 2, &mut Belady::new(), false, &ExecCtx::default())
+            simulate(
+                &variant,
+                2,
+                &mut Belady::new(),
+                false,
+                &FaultPlan::disarmed(),
+                &ExecCtx::default()
+            )
         );
         let acct = delta.account().unwrap();
         assert_eq!(acct.resumes, 0, "clairvoyant prefix reuse forbidden");
         assert_eq!(acct.misses, 2);
         // But the exact same trace still full-hits.
-        simulate(&base, 2, &mut Belady::new(), false, &dctx);
+        simulate(
+            &base,
+            2,
+            &mut Belady::new(),
+            false,
+            &FaultPlan::disarmed(),
+            &dctx,
+        );
         assert_eq!(delta.account().unwrap().full_hits, 1);
     }
 
@@ -647,8 +748,8 @@ mod tests {
         let trace = cycle_trace(11, 250);
         for &rate in &[0.1, 0.105, 0.11, 0.115] {
             let plan = FaultPlan::new(FaultSpec::uniform(rate), RecoveryPolicy::default(), 99);
-            let with = simulate_faulty(&trace, 3, &mut Lru::new(), false, &plan, &dctx);
-            let without = simulate_faulty(
+            let with = simulate(&trace, 3, &mut Lru::new(), false, &plan, &dctx);
+            let without = simulate(
                 &trace,
                 3,
                 &mut Lru::new(),
@@ -667,8 +768,8 @@ mod tests {
         // Second sweep over the same rates: all whole-run hits.
         for &rate in &[0.1, 0.105, 0.11, 0.115] {
             let plan = FaultPlan::new(FaultSpec::uniform(rate), RecoveryPolicy::default(), 99);
-            let with = simulate_faulty(&trace, 3, &mut Lru::new(), false, &plan, &dctx);
-            let without = simulate_faulty(
+            let with = simulate(&trace, 3, &mut Lru::new(), false, &plan, &dctx);
+            let without = simulate(
                 &trace,
                 3,
                 &mut Lru::new(),
@@ -694,8 +795,8 @@ mod tests {
         };
         for rp in [rp_a, rp_b] {
             let plan = FaultPlan::new(spec, rp, 17);
-            let with = simulate_faulty(&trace, 2, &mut Fifo::new(), false, &plan, &dctx);
-            let without = simulate_faulty(
+            let with = simulate(&trace, 2, &mut Fifo::new(), false, &plan, &dctx);
+            let without = simulate(
                 &trace,
                 2,
                 &mut Fifo::new(),
@@ -721,8 +822,22 @@ mod tests {
         for s in 0..4usize {
             let t = cycle_trace(s as u64, 120);
             let slots = 2 + s;
-            let with = simulate(&t, slots, &mut Markov::new(), true, &dctx);
-            let without = simulate(&t, slots, &mut Markov::new(), true, &ExecCtx::default());
+            let with = simulate(
+                &t,
+                slots,
+                &mut Markov::new(),
+                true,
+                &FaultPlan::disarmed(),
+                &dctx,
+            );
+            let without = simulate(
+                &t,
+                slots,
+                &mut Markov::new(),
+                true,
+                &FaultPlan::disarmed(),
+                &ExecCtx::default(),
+            );
             assert_eq!(with, without);
         }
         let acct = delta.account().unwrap();
@@ -736,8 +851,22 @@ mod tests {
         let dctx = ExecCtx::default().with_delta(delta.clone());
         let t = cycle_trace(2, 100);
         for _ in 0..2 {
-            let with = simulate(&t, 2, &mut AlwaysMiss::new(), false, &dctx);
-            let without = simulate(&t, 2, &mut AlwaysMiss::new(), false, &ExecCtx::default());
+            let with = simulate(
+                &t,
+                2,
+                &mut AlwaysMiss::new(),
+                false,
+                &FaultPlan::disarmed(),
+                &dctx,
+            );
+            let without = simulate(
+                &t,
+                2,
+                &mut AlwaysMiss::new(),
+                false,
+                &FaultPlan::disarmed(),
+                &ExecCtx::default(),
+            );
             assert_eq!(with, without);
         }
         assert_eq!(delta.account().unwrap().full_hits, 1);

@@ -258,6 +258,7 @@ mod tests {
     use super::*;
     use crate::simulate::simulate;
     use crate::traces::TraceSpec;
+    use hprc_fault::FaultPlan;
 
     #[test]
     fn learns_windowed_association() {
@@ -306,6 +307,7 @@ mod tests {
             2,
             &mut AssociationRule::new(2, 0.5),
             true,
+            &FaultPlan::disarmed(),
             &hprc_ctx::ExecCtx::default(),
         );
         assert!(out.hit_ratio() > 0.6, "H = {}", out.hit_ratio());
@@ -330,6 +332,7 @@ mod tests {
             2,
             &mut Lru::new(),
             false,
+            &FaultPlan::disarmed(),
             &hprc_ctx::ExecCtx::default(),
         );
         let arm2 = simulate(
@@ -337,6 +340,7 @@ mod tests {
             2,
             &mut AssociationRule::new(3, 0.4),
             true,
+            &FaultPlan::disarmed(),
             &hprc_ctx::ExecCtx::default(),
         );
         assert!(
@@ -351,6 +355,7 @@ mod tests {
             4,
             &mut Lru::new(),
             false,
+            &FaultPlan::disarmed(),
             &hprc_ctx::ExecCtx::default(),
         );
         let arm4 = simulate(
@@ -358,6 +363,7 @@ mod tests {
             4,
             &mut AssociationRule::new(3, 0.4),
             true,
+            &FaultPlan::disarmed(),
             &hprc_ctx::ExecCtx::default(),
         );
         assert!(

@@ -1,8 +1,7 @@
 //! The preemptible execution engine: an event-driven scheduler that can
 //! checkpoint a running task out of its PRR at PR-safe points and
 //! restore it later, generalizing the run-to-completion
-//! [`simulate`](crate::simulate::simulate)/[`simulate_faulty`](crate::faulty::simulate_faulty)
-//! loops.
+//! [`simulate`](crate::simulate::simulate) loop.
 //!
 //! The paper's bounds (Eq 5/7) assume a task, once configured, runs to
 //! completion. Preemption via partial reconfiguration breaks that
@@ -484,7 +483,7 @@ fn rank_before(policy: &dyn Policy, a: &Job, b: &Job) -> bool {
 /// port. A full reconfiguration (escalation or blacklist degradation)
 /// evicts every *idle* resident; jobs already executing run on —
 /// detection is at the next configuration boundary, exactly as in
-/// [`simulate_faulty`](crate::faulty::simulate_faulty).
+/// [`simulate`](crate::simulate::simulate) under an armed plan.
 ///
 /// Metrics go to `ctx.registry` under `sched.{policy}.preempt.*`; a
 /// `sched.simulate_preemptive` span plus `sched.preempt.*` metric

@@ -5,7 +5,7 @@
 use hprc_ctx::ExecCtx;
 use hprc_fault::{FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_sched::{
-    simulate_faulty, simulate_preemptive, ConfigCache, PreemptCosts, RtTask, StrictPriority, TaskId,
+    simulate, simulate_preemptive, ConfigCache, PreemptCosts, RtTask, StrictPriority, TaskId,
 };
 
 fn costs() -> PreemptCosts {
@@ -105,7 +105,7 @@ fn all_prrs_blacklisted_degrades_to_frtr_without_panicking() {
 
     // Run-to-completion loop.
     let trace: Vec<TaskId> = (0..30).map(|i| TaskId(i % 3)).collect();
-    let out = simulate_faulty(
+    let out = simulate(
         &trace,
         2,
         &mut hprc_sched::policies::Lru::new(),
@@ -114,7 +114,7 @@ fn all_prrs_blacklisted_degrades_to_frtr_without_panicking() {
         &ExecCtx::default(),
     );
     assert_eq!(out.blacklisted_slots, 2, "every PRR ends blacklisted");
-    assert_eq!(out.base.stats.calls, 30);
+    assert_eq!(out.stats.calls, 30);
 
     // Preemptible engine: same degradation, forced-full segments on the
     // conventional lane, every surviving job completes or drops cleanly.

@@ -1,6 +1,7 @@
 //! Property-based tests of the caching/prefetching substrate.
 
 use hprc_ctx::ExecCtx;
+use hprc_fault::{FaultPlan, FaultSpec, RecoveryPolicy};
 use hprc_sched::policies::{AlwaysMiss, Belady, Fifo, Lfu, Lru, Markov, RandomPolicy};
 use hprc_sched::simulate::simulate;
 use hprc_sched::traces::TraceSpec;
@@ -10,6 +11,18 @@ use proptest::prelude::*;
 fn arb_trace() -> impl Strategy<Value = Vec<TaskId>> {
     (2usize..8, 10usize..200, any::<u64>())
         .prop_map(|(n_tasks, len, seed)| TraceSpec::Uniform { n_tasks, len }.generate(seed))
+}
+
+/// The disarmed plan, or a uniform fault rate in `[0, 0.5]` under any
+/// seed.
+fn arb_plan() -> impl Strategy<Value = FaultPlan> {
+    (any::<bool>(), 0.0f64..=0.5, any::<u64>()).prop_map(|(armed, rate, seed)| {
+        if armed {
+            FaultPlan::new(FaultSpec::uniform(rate), RecoveryPolicy::default(), seed)
+        } else {
+            FaultPlan::disarmed()
+        }
+    })
 }
 
 fn all_policies(seed: u64) -> Vec<Box<dyn Policy>> {
@@ -28,17 +41,54 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Accounting identity: hits + misses == calls, for every policy, with
-    /// and without prefetching.
+    /// and without prefetching, under the disarmed plan or an armed one.
     #[test]
-    fn accounting_identity(trace in arb_trace(), slots in 1usize..5, seed in any::<u64>()) {
+    fn accounting_identity(
+        trace in arb_trace(),
+        slots in 1usize..5,
+        seed in any::<u64>(),
+        plan in arb_plan(),
+    ) {
         for mut policy in all_policies(seed) {
             for prefetch in [false, true] {
-                let out = simulate(&trace, slots, policy.as_mut(), prefetch, &ExecCtx::default());
+                let out = simulate(&trace, slots, policy.as_mut(), prefetch, &plan, &ExecCtx::default());
                 prop_assert_eq!(out.stats.calls, trace.len() as u64);
                 prop_assert_eq!(out.stats.hits + out.stats.misses, out.stats.calls);
                 prop_assert!(out.stats.useful_prefetches <= out.stats.prefetch_loads);
                 let h = out.hit_ratio();
                 prop_assert!((0.0..=1.0).contains(&h));
+                // One outcome and one fate per call; a hit's fate is clean.
+                prop_assert_eq!(out.outcomes.len(), trace.len());
+                prop_assert_eq!(out.fates.len(), trace.len());
+                for (o, f) in out.outcomes.iter().zip(&out.fates) {
+                    prop_assert!(!o.is_hit() || f.is_clean());
+                }
+                prop_assert!(out.dropped <= out.stats.misses);
+                prop_assert!(out.escalation_wipes <= out.stats.misses);
+                prop_assert!(out.blacklisted_slots <= slots);
+                prop_assert!((0.0..=1.0).contains(&out.availability()));
+            }
+        }
+    }
+
+    /// An armed plan that never fires takes the same decisions as the
+    /// disarmed plan: same stats, same outcomes, every fate clean.
+    #[test]
+    fn never_firing_plan_is_inert(trace in arb_trace(), seed in any::<u64>()) {
+        let never = FaultPlan::new(FaultSpec::uniform(1e-300), RecoveryPolicy::default(), seed);
+        prop_assert!(never.armed());
+        for slots in 1usize..=4 {
+            for prefetch in [false, true] {
+                let clean = all_policies(seed).into_iter().map(|mut p| {
+                    simulate(&trace, slots, p.as_mut(), prefetch, &FaultPlan::disarmed(), &ExecCtx::default())
+                });
+                let armed = all_policies(seed).into_iter().map(|mut p| {
+                    simulate(&trace, slots, p.as_mut(), prefetch, &never, &ExecCtx::default())
+                });
+                for (a, b) in clean.zip(armed) {
+                    prop_assert!(b.fates.iter().all(|f| f.is_clean()));
+                    prop_assert_eq!(a, b);
+                }
             }
         }
     }
@@ -47,7 +97,7 @@ proptest! {
     /// demand-only policy — the classic optimality result.
     #[test]
     fn belady_dominates_demand_policies(trace in arb_trace(), slots in 1usize..5, seed in any::<u64>()) {
-        let opt = simulate(&trace, slots, &mut Belady::new(), false, &ExecCtx::default());
+        let opt = simulate(&trace, slots, &mut Belady::new(), false, &FaultPlan::disarmed(), &ExecCtx::default());
         for mut policy in [
             Box::new(Fifo::new()) as Box<dyn Policy>,
             Box::new(Lru::new()),
@@ -55,7 +105,7 @@ proptest! {
             Box::new(RandomPolicy::new(seed)),
             Box::new(AlwaysMiss::new()),
         ] {
-            let out = simulate(&trace, slots, policy.as_mut(), false, &ExecCtx::default());
+            let out = simulate(&trace, slots, policy.as_mut(), false, &FaultPlan::disarmed(), &ExecCtx::default());
             prop_assert!(
                 opt.stats.hits >= out.stats.hits,
                 "belady {} < {} {}",
@@ -80,7 +130,7 @@ proptest! {
             Box::new(Lfu::new()),
             Box::new(Belady::new()),
         ] {
-            let out = simulate(&trace, n_tasks, policy.as_mut(), false, &ExecCtx::default());
+            let out = simulate(&trace, n_tasks, policy.as_mut(), false, &FaultPlan::disarmed(), &ExecCtx::default());
             prop_assert_eq!(
                 out.stats.misses,
                 distinct.len() as u64,
@@ -93,7 +143,7 @@ proptest! {
     /// AlwaysMiss charges every call as a miss: H == 0 regardless of trace.
     #[test]
     fn always_miss_is_h_zero(trace in arb_trace(), slots in 1usize..5) {
-        let out = simulate(&trace, slots, &mut AlwaysMiss::new(), false, &ExecCtx::default());
+        let out = simulate(&trace, slots, &mut AlwaysMiss::new(), false, &FaultPlan::disarmed(), &ExecCtx::default());
         prop_assert_eq!(out.stats.hits, 0u64);
         prop_assert_eq!(out.hit_ratio(), 0.0);
     }
@@ -110,8 +160,8 @@ proptest! {
     ) {
         let trace = TraceSpec::Looping { stages, n_tasks: stages, noise: 0.0, len: 60 * stages }
             .generate(seed);
-        let plain = simulate(&trace, 2, &mut Lru::new(), false, &ExecCtx::default());
-        let pf = simulate(&trace, 2, &mut Markov::new(), true, &ExecCtx::default());
+        let plain = simulate(&trace, 2, &mut Lru::new(), false, &FaultPlan::disarmed(), &ExecCtx::default());
+        let pf = simulate(&trace, 2, &mut Markov::new(), true, &FaultPlan::disarmed(), &ExecCtx::default());
         prop_assert!(pf.stats.hits >= plain.stats.hits);
     }
 

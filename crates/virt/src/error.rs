@@ -9,6 +9,8 @@ pub enum VirtError {
     NoApplications,
     /// Application ids must be `0..n` matching their position.
     BadAppIds,
+    /// PRTR mode needs at least one PRR, and the node has none.
+    NoPrrs,
     /// A flexible call requests more columns than the window offers.
     ModuleTooWide {
         /// Offending module.
@@ -25,6 +27,7 @@ impl fmt::Display for VirtError {
         match self {
             VirtError::NoApplications => write!(f, "no applications to run"),
             VirtError::BadAppIds => write!(f, "application ids must equal their index"),
+            VirtError::NoPrrs => write!(f, "PRTR mode needs a node with at least one PRR"),
             VirtError::ModuleTooWide {
                 module,
                 width,
@@ -49,5 +52,6 @@ mod tests {
             .to_string()
             .contains("no applications"));
         assert!(VirtError::BadAppIds.to_string().contains("index"));
+        assert!(VirtError::NoPrrs.to_string().contains("PRR"));
     }
 }

@@ -236,7 +236,9 @@ struct Issue {
 ///
 /// [`VirtError::NoApplications`] for an empty app list;
 /// [`VirtError::BadAppIds`] when ids are not `0..n` in order (they index
-/// the report). Injected faults never surface as `Err`.
+/// the report); [`VirtError::NoPrrs`] for PRTR mode on a node with no
+/// PRR (FRTR mode runs there on the one whole-device slot). Injected
+/// faults never surface as `Err`.
 pub fn run(
     node: &NodeConfig,
     apps: &[App],
@@ -251,6 +253,9 @@ pub fn run(
     }
     if apps.iter().enumerate().any(|(i, a)| a.id != i) {
         return Err(VirtError::BadAppIds);
+    }
+    if config.mode == ReconfigMode::Prtr && node.n_prrs == 0 {
+        return Err(VirtError::NoPrrs);
     }
     let j = &ctx.journal;
     let js = j.enter("virt.run", 0, 0);
@@ -830,6 +835,32 @@ mod tests {
             ),
             Err(VirtError::BadAppIds)
         ));
+    }
+
+    #[test]
+    fn prtr_on_a_node_without_prrs_is_rejected_and_frtr_still_runs() {
+        let mut node = node();
+        node.n_prrs = 0;
+        let mk = || App::cycling(0, "a", &cores(), 6, 0.01, 0.0);
+        for config in [
+            RuntimeConfig::prtr_demand(),
+            RuntimeConfig::prtr_overlapped(),
+        ] {
+            assert!(matches!(
+                run(&node, &[mk()], &config, &FaultPlan::disarmed(), &dctx()),
+                Err(VirtError::NoPrrs)
+            ));
+        }
+        let frtr = run(
+            &node,
+            &[mk()],
+            &RuntimeConfig::frtr(),
+            &FaultPlan::disarmed(),
+            &dctx(),
+        )
+        .unwrap();
+        assert_eq!(frtr.records.len(), 6);
+        assert_eq!(frtr.n_config, 6, "three modules cycle through one slot");
     }
 
     #[test]

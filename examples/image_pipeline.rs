@@ -38,13 +38,27 @@ fn main() {
 
     let mut lru = Lru::new();
     let ctx = ExecCtx::default();
-    let outcome = simulate(&trace, node.n_prrs, &mut lru, false, &ctx);
+    let outcome = simulate(
+        &trace,
+        node.n_prrs,
+        &mut lru,
+        false,
+        &FaultPlan::disarmed(),
+        &ctx,
+    );
     println!(
         "LRU over 2 PRRs on the 3-stage loop: H = {:.2} (thrashing, as expected)",
         outcome.hit_ratio()
     );
     let mut markov = Markov::new();
-    let prefetched = simulate(&trace, node.n_prrs, &mut markov, true, &ctx);
+    let prefetched = simulate(
+        &trace,
+        node.n_prrs,
+        &mut markov,
+        true,
+        &FaultPlan::disarmed(),
+        &ctx,
+    );
     println!(
         "Markov prefetcher on the same trace:  H = {:.2}\n",
         prefetched.hit_ratio()

@@ -61,7 +61,15 @@ fn main() {
     for (name, spec) in &workloads {
         let trace = spec.generate(7);
         let h = |policy: &mut dyn Policy, prefetch: bool| {
-            simulate(&trace, node.n_prrs, policy, prefetch, &ExecCtx::default()).hit_ratio()
+            simulate(
+                &trace,
+                node.n_prrs,
+                policy,
+                prefetch,
+                &FaultPlan::disarmed(),
+                &ExecCtx::default(),
+            )
+            .hit_ratio()
         };
         println!(
             "{:<32} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",

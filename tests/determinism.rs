@@ -48,6 +48,7 @@ fn seeded_randomness_is_replayable_everywhere() {
         2,
         &mut RandomPolicy::new(5),
         false,
+        &FaultPlan::disarmed(),
         &ExecCtx::default(),
     );
     let b = simulate(
@@ -55,6 +56,7 @@ fn seeded_randomness_is_replayable_everywhere() {
         2,
         &mut RandomPolicy::new(5),
         false,
+        &FaultPlan::disarmed(),
         &ExecCtx::default(),
     );
     assert_eq!(a, b);

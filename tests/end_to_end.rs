@@ -22,7 +22,14 @@ fn pipeline_to_speedup() {
     let trace: Vec<TaskId> = (0..iterations * 3).map(|i| TaskId(i % 3)).collect();
     let node = NodeConfig::xd1_measured(&Floorplan::xd1_dual_prr());
     let mut policy = AlwaysMiss::new();
-    let outcome = simulate(&trace, node.n_prrs, &mut policy, false, &ExecCtx::default());
+    let outcome = simulate(
+        &trace,
+        node.n_prrs,
+        &mut policy,
+        false,
+        &FaultPlan::disarmed(),
+        &ExecCtx::default(),
+    );
     assert_eq!(outcome.hit_ratio(), 0.0);
 
     // 3. Execution layer: replay on the simulator.
@@ -84,7 +91,14 @@ fn prefetching_end_to_end() {
     let t_task = 0.25 * node.t_prtr_s();
 
     let run_with = |policy: &mut dyn prtr_bounds::sched::Policy, prefetch: bool| {
-        let outcome = simulate(&trace, node.n_prrs, policy, prefetch, &ExecCtx::default());
+        let outcome = simulate(
+            &trace,
+            node.n_prrs,
+            policy,
+            prefetch,
+            &FaultPlan::disarmed(),
+            &ExecCtx::default(),
+        );
         let calls: Vec<PrtrCall> = trace
             .iter()
             .zip(&outcome.outcomes)

@@ -32,7 +32,14 @@ fn measured_hit_ratio_matches_model_input() {
     for (name, mut policy) in cases {
         let registry = Registry::new();
         let ctx = ExecCtx::default().with_registry(registry.clone());
-        let outcome = simulate(&trace, node.n_prrs, policy.as_mut(), false, &ctx);
+        let outcome = simulate(
+            &trace,
+            node.n_prrs,
+            policy.as_mut(),
+            false,
+            &FaultPlan::disarmed(),
+            &ctx,
+        );
         let snap = registry.snapshot();
         let hits = snap.counters[&format!("sched.{name}.hits")] as f64;
         let calls = snap.counters[&format!("sched.{name}.calls")] as f64;
